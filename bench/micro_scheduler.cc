@@ -190,6 +190,30 @@ BM_ScheduleWithPeriodicCheck(benchmark::State &state)
 }
 BENCHMARK(BM_ScheduleWithPeriodicCheck);
 
+/**
+ * Far-future mix: one event in eight lands beyond the timing wheel's
+ * window (the overflow heap, then migration into its bucket); the rest
+ * stay inside it.  Every other benchmark here stays inside the window.
+ */
+static void
+BM_ScheduleFarFuture(benchmark::State &state)
+{
+    const Cycle window = EventQueue::kWheelSlots;
+    for (auto _ : state) {
+        EventQueue eq;
+        std::uint64_t sink = 0;
+        for (int i = 0; i < kEvents; ++i) {
+            Cycle when = (i % 8 == 0) ? window + Cycle(i * 13 % (3 * window))
+                                      : Cycle(i * 7 % 997);
+            eq.schedule(when, [&sink]() { ++sink; });
+        }
+        eq.run();
+        benchmark::DoNotOptimize(sink);
+    }
+    state.SetItemsProcessed(state.iterations() * kEvents);
+}
+BENCHMARK(BM_ScheduleFarFuture);
+
 /** Slab-spilling captures (larger than kEventInlineBytes): the slow path. */
 static void
 BM_ScheduleOversized(benchmark::State &state)

@@ -129,11 +129,17 @@ struct AuditTester
         return *mem.l2dCache;
     }
 
-    /** Plant an MSHR entry no fill will ever clear. */
+    /**
+     * Plant an MSHR entry no fill will ever clear.  Past capacity the
+     * table grows a slot, so the capacity audit can be driven over it.
+     */
     static void
     insertFakeMshr(Cache &cache, std::uint64_t sector_addr)
     {
-        cache.mshrs[sector_addr];
+        MshrTable &table = cache.mshrs;
+        if (table.size() >= table.capacity)
+            ++table.capacity;
+        table.allocate(sector_addr);
     }
 };
 

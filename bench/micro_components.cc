@@ -116,8 +116,8 @@ BM_CacheAccessHit(benchmark::State &state)
     params.sizeBytes = 128 * 1024;
     params.latency = 1;
     Cache cache(eq, params,
-                [&eq](PhysAddr, bool, std::function<void()> fill) {
-                    eq.scheduleIn(1, std::move(fill));
+                [&eq](PhysAddr, bool, MemDoneFn fill) {
+                    eq.scheduleIn(1, fill);
                 });
     // Warm one sector.
     cache.access(0, false, []() {});

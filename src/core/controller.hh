@@ -34,7 +34,7 @@ class SoftWalkerController
                          PwWarp::Hooks hooks, PwWarpCodeTiming timing,
                          std::uint32_t lanes, Cycle comm_latency)
         : eventq(eq), smId(sm), pwb(pwb_entries),
-          warp(std::make_unique<PwWarp>(eq, spaces, pwb, std::move(hooks),
+          warp(std::make_unique<PwWarp>(eq, spaces, pwb, hooks,
                                         timing, lanes, comm_latency))
     {
     }

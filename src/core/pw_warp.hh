@@ -15,11 +15,11 @@
 #define SW_CORE_PW_WARP_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/isa.hh"
 #include "core/soft_pwb.hh"
+#include "sim/callback.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "vm/address_space.hh"
@@ -41,11 +41,11 @@ class PwWarp
          * PW-occupancy attribution); a mixed-tenant batch is attributed
          * to its first lane's ASID.
          */
-        std::function<Cycle(std::uint32_t, Asid)> reserveIssue;
+        Callback<Cycle(std::uint32_t, Asid)> reserveIssue;
         /** Engine's page-table memory read (LDPT). */
         PtAccessFn ptAccess;
         /** FPWC: cache (level, {asid, vpn}) -> table base. */
-        std::function<void(int, TranslationKey, PhysAddr)> pwcFill;
+        Callback<void(int, TranslationKey, PhysAddr)> pwcFill;
         /**
          * FL2T arrival at the L2 TLB (after the communication latency):
          * resolves the walk and releases the distributor credit.
@@ -55,7 +55,7 @@ class PwWarp
          * A lane's walk started executing (batch pickup) — the cycle
          * ledger moves the key's waiters to TransPwExec.  Optional.
          */
-        std::function<void(const TranslationKey &)> execStart;
+        Callback<void(const TranslationKey &)> execStart;
     };
 
     struct Stats

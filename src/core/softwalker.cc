@@ -40,9 +40,8 @@ SoftWalkerBackend::SoftWalkerBackend(Gpu &gpu_ref, const GpuConfig &config)
         hooks.reserveIssue = [this, sm](std::uint32_t slots, Asid asid) {
             return gpu.sm(sm).reservePwIssue(slots, asid);
         };
-        hooks.ptAccess = [&engine](PhysAddr addr,
-                                   std::function<void()> done) {
-            engine.ptAccess(addr, std::move(done));
+        hooks.ptAccess = [&engine](PhysAddr addr, MemDoneFn done) {
+            engine.ptAccess(addr, done);
         };
         hooks.pwcFill = [&engine](int level, TranslationKey key,
                                   PhysAddr base) {
@@ -59,7 +58,7 @@ SoftWalkerBackend::SoftWalkerBackend(Gpu &gpu_ref, const GpuConfig &config)
             }
         };
         controllers.push_back(std::make_unique<SoftWalkerController>(
-            eq, sm, cfg.softPwbEntries, engine.spaces(), std::move(hooks),
+            eq, sm, cfg.softPwbEntries, engine.spaces(), hooks,
             timing, cfg.pwWarpThreads, comm));
     }
 
@@ -72,8 +71,8 @@ SoftWalkerBackend::SoftWalkerBackend(Gpu &gpu_ref, const GpuConfig &config)
         pool.nhaSectorBytes = cfg.sectorBytes;
         hwPool = std::make_unique<HardwarePtwPool>(
             eq, pool, engine.spaces(), engine.pwc(),
-            [&engine](PhysAddr addr, std::function<void()> done) {
-                engine.ptAccess(addr, std::move(done));
+            [&engine](PhysAddr addr, MemDoneFn done) {
+                engine.ptAccess(addr, done);
             },
             [this](const WalkResult &result) {
                 SW_ASSERT(inFlightCount > 0, "hybrid in-flight underflow");

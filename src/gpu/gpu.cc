@@ -48,18 +48,17 @@ Gpu::Gpu(GpuConfig config, std::vector<std::unique_ptr<Workload>> wls)
         Asid asid = tenantOfSm(cfg, id);
         sms.push_back(std::make_unique<Sm>(
             eventq, params, *workloads_[asid],
-            [this, id, asid](Vpn vpn, std::function<void(Pfn)> done) {
-                engine_->translate(id, TranslationKey{asid, vpn},
-                                   std::move(done));
+            [this, id, asid](Vpn vpn, TransDoneFn done) {
+                engine_->translate(id, TranslationKey{asid, vpn}, done);
             },
-            [this, id](PhysAddr pa, bool write, std::function<void()> done) {
+            [this, id](PhysAddr pa, bool write, MemDoneFn done) {
                 MemAccess acc;
                 acc.addr = pa;
                 acc.write = write;
                 acc.pte = false;
                 acc.sm = id;
-                acc.onDone = std::move(done);
-                mem->access(std::move(acc));
+                acc.onDone = done;
+                mem->access(acc);
             }));
     }
 
@@ -82,8 +81,8 @@ Gpu::Gpu(GpuConfig config, std::vector<std::unique_ptr<Workload>> wls)
         }
         engine_->setBackend(std::make_unique<HardwarePtwPool>(
             eventq, pool, *spaces_, engine_->pwc(),
-            [this](PhysAddr addr, std::function<void()> done) {
-                engine_->ptAccess(addr, std::move(done));
+            [this](PhysAddr addr, MemDoneFn done) {
+                engine_->ptAccess(addr, done);
             },
             engine_->completionFn()));
     }

@@ -6,7 +6,10 @@
  * memory instructions drawn from the workload.  Memory instructions are
  * coalesced to unique pages (translation requests) and unique 32 B sectors
  * (data accesses); the warp blocks until every access completes
- * (scoreboard semantics).  The single issue port serialises instruction
+ * (scoreboard semantics).  Coalescing keeps no request state beyond a
+ * 32-byte lane map per warp: each page's translation carries its group
+ * number, and its arrival re-reads the warp's pending instruction to
+ * issue that page's sectors.  The single issue port serialises instruction
  * issue, and is shared — with priority — by the PW Warp (§4.2).
  *
  * Scheduler-cycle accounting distinguishes issued/compute cycles from
@@ -17,10 +20,11 @@
 #ifndef SW_GPU_SM_HH
 #define SW_GPU_SM_HH
 
+#include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "sim/callback.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -36,16 +40,14 @@ class CkptReader;
 class CycleLedger;
 
 /** Translation issued on behalf of this SM: (vpn, completion). */
-using SmTranslateFn =
-    std::function<void(Vpn, std::function<void(Pfn)>)>;
+using SmTranslateFn = Callback<void(Vpn, Callback<void(Pfn)>)>;
 
 /** Data-memory access: (physical sector address, write, completion). */
-using SmDataAccessFn =
-    std::function<void(PhysAddr, bool, std::function<void()>)>;
+using SmDataAccessFn = Callback<void(PhysAddr, bool, Callback<void()>)>;
 
 /** Optional per-instruction trace hook (Fig 3 dumps). */
 using TraceHookFn =
-    std::function<void(SmId, WarpId, Cycle, const WarpInstr &)>;
+    Callback<void(SmId, WarpId, Cycle, const WarpInstr &)>;
 
 /** One GPU core. */
 class Sm
@@ -155,7 +157,7 @@ class Sm
     TraceHookFn traceHook;
 
     /** Invoked whenever a warp retires (all work done). */
-    std::function<void()> onWarpRetired;
+    Callback<void()> onWarpRetired;
 
     /**
      * Set by the GPU when cycle accounting is requested; the SM reports
@@ -165,6 +167,9 @@ class Sm
     CycleLedger *ledger = nullptr;
 
   private:
+    /** Lane-map entry of a lane that issues no data access of its own. */
+    static constexpr std::uint8_t kNoGroup = 0xff;
+
     struct WarpState
     {
         bool live = false;
@@ -172,11 +177,20 @@ class Sm
         WarpInstr pending;           ///< next instruction to issue
         std::uint32_t outstanding = 0;
         Cycle issuedAt = 0;
+        /**
+         * Per lane of the issued instruction: the page group (index of
+         * its page in first-appearance order) whose translation issues
+         * the lane's sector, or kNoGroup when an earlier lane already
+         * requested that sector.
+         */
+        std::array<std::uint8_t, 32> laneGroup{};
     };
 
     void fetchAndSchedule(WarpId warp);
     void tryIssue(WarpId warp);
     void execMemInstr(WarpId warp);
+    /** Page group @p group of @p warp's instruction translated to @p pfn. */
+    void translationDone(WarpId warp, std::uint32_t group, Pfn pfn);
     void accessDone(WarpId warp);
     void enterBlocked(WarpId warp);
     void leaveBlocked(WarpId warp);

@@ -159,11 +159,11 @@ Cache::tagOf(std::uint64_t line_addr) const
 }
 
 void
-Cache::access(PhysAddr addr, bool write, std::function<void()> on_done)
+Cache::access(PhysAddr addr, bool write, MemDoneFn on_done)
 {
     ++stats_.accesses;
-    auto fire = [this, addr, write, cb = std::move(on_done)]() mutable {
-        lookup(addr, write, std::move(cb));
+    auto fire = [this, addr, write, on_done]() {
+        lookup(addr, write, on_done);
     };
     static_assert(EventFn::fitsInline<decltype(fire)>(),
                   "cache access event must not spill to the slab pool");
@@ -193,7 +193,7 @@ Cache::flush()
 }
 
 void
-Cache::lookup(PhysAddr addr, bool write, std::function<void()> on_done,
+Cache::lookup(PhysAddr addr, bool write, MemDoneFn on_done,
               bool retry)
 {
     SW_PROF_SCOPE(prof::Zone::CacheDram);
@@ -228,22 +228,22 @@ Cache::lookup(PhysAddr addr, bool write, std::function<void()> on_done,
         if (waiters->size() <
             static_cast<std::size_t>(params_.maxMergesPerMshr)) {
             ++stats_.mshrMerges;
-            waiters->push_back(std::move(on_done));
+            waiters->push_back(on_done);
             return;
         }
         // Merge capacity exhausted: treat like a full MSHR file.
         ++stats_.mshrFailures;
-        waitingForMshr.push_back({addr, write, std::move(on_done)});
+        waitingForMshr.push_back({addr, write, on_done});
         return;
     }
 
     if (mshrs.size() >= params_.mshrEntries) {
         ++stats_.mshrFailures;
-        waitingForMshr.push_back({addr, write, std::move(on_done)});
+        waitingForMshr.push_back({addr, write, on_done});
         return;
     }
 
-    mshrs.allocate(sa).push_back(std::move(on_done));
+    mshrs.allocate(sa).push_back(on_done);
     SW_AUDIT(mshrs.size() <= params_.mshrEntries,
              "%s: MSHR file overallocated (%zu > %u)",
              params_.name.c_str(), mshrs.size(), params_.mshrEntries);
@@ -315,10 +315,10 @@ Cache::retryWaiting()
     // merge-full); stop as soon as the queue makes no progress.
     while (!waitingForMshr.empty() && mshrs.size() < params_.mshrEntries) {
         std::size_t before = waitingForMshr.size();
-        Waiting wait_entry = std::move(waitingForMshr.front());
+        Waiting wait_entry = waitingForMshr.front();
         waitingForMshr.pop_front();
-        lookup(wait_entry.addr, wait_entry.write,
-               std::move(wait_entry.onDone), /*retry=*/true);
+        lookup(wait_entry.addr, wait_entry.write, wait_entry.onDone,
+               /*retry=*/true);
         if (waitingForMshr.size() >= before)
             break;
     }

@@ -12,10 +12,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "mem/request.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -32,8 +32,7 @@ class CkptReader;
  * available.
  */
 using CacheForwardFn =
-    std::function<void(PhysAddr sector_addr, bool write,
-                       std::function<void()> on_fill)>;
+    Callback<void(PhysAddr sector_addr, bool write, MemDoneFn on_fill)>;
 
 /**
  * Fixed-capacity MSHR file keyed by sector address.
@@ -51,7 +50,7 @@ using CacheForwardFn =
 class MshrTable
 {
   public:
-    using Waiters = std::vector<std::function<void()>>;
+    using Waiters = std::vector<MemDoneFn>;
 
     static constexpr std::uint32_t kNoSlot = ~std::uint32_t(0);
 
@@ -149,7 +148,7 @@ class Cache
      * Access one sector.  @p on_done fires once the sector is resident
      * (after the hit latency, or after the fill returns from below).
      */
-    void access(PhysAddr addr, bool write, std::function<void()> on_done);
+    void access(PhysAddr addr, bool write, MemDoneFn on_done);
 
     /** Tag-only probe (no latency, no LRU update); used by tests. */
     bool isResident(PhysAddr addr) const;
@@ -199,7 +198,7 @@ class Cache
      * @param retry re-issue of a parked request; skips demand hit/miss
      *        accounting so stats count each access once.
      */
-    void lookup(PhysAddr addr, bool write, std::function<void()> on_done,
+    void lookup(PhysAddr addr, bool write, MemDoneFn on_done,
                 bool retry = false);
 
     /** Fill returned from the level below. */
@@ -227,7 +226,7 @@ class Cache
     {
         PhysAddr addr;
         bool write;
-        std::function<void()> onDone;
+        MemDoneFn onDone;
     };
     std::deque<Waiting> waitingForMshr;
 

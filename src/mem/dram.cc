@@ -17,7 +17,7 @@ Dram::Dram(EventQueue &eq, Params params)
 }
 
 void
-Dram::access(PhysAddr addr, bool write, std::function<void()> on_done)
+Dram::access(PhysAddr addr, bool write, MemDoneFn on_done)
 {
     (void)write; // reads and writes share timing in this model
     ++stats_.accesses;
@@ -34,7 +34,7 @@ Dram::access(PhysAddr addr, bool write, std::function<void()> on_done)
     stats_.queueDelay.add(start - now);
     stats_.totalLatency.add(done_at - now);
 
-    eventq.schedule(done_at, std::move(on_done));
+    eventq.schedule(done_at, on_done);
 }
 
 void

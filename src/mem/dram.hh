@@ -12,9 +12,9 @@
 #define SW_MEM_DRAM_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "mem/request.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -50,7 +50,7 @@ class Dram
     Dram &operator=(const Dram &) = delete;
 
     /** Issue one sector access; @p on_done fires at completion. */
-    void access(PhysAddr addr, bool write, std::function<void()> on_done);
+    void access(PhysAddr addr, bool write, MemDoneFn on_done);
 
     /** Zero the statistics (post-warmup measurement reset). */
     void resetStats();

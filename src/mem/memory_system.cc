@@ -28,8 +28,8 @@ MemorySystem::MemorySystem(EventQueue &eq, const GpuConfig &cfg)
     l2_params.maxMergesPerMshr = 4096;
     l2dCache = std::make_unique<Cache>(
         eq, l2_params,
-        [this](PhysAddr addr, bool write, std::function<void()> on_fill) {
-            dramModel->access(addr, write, std::move(on_fill));
+        [this](PhysAddr addr, bool write, MemDoneFn on_fill) {
+            dramModel->access(addr, write, on_fill);
         });
 
     Cache::Params l1_params;
@@ -44,8 +44,8 @@ MemorySystem::MemorySystem(EventQueue &eq, const GpuConfig &cfg)
         l1_params.name = strprintf("l1d[%u]", sm);
         l1dCaches.push_back(std::make_unique<Cache>(
             eventq, l1_params,
-            [this](PhysAddr addr, bool write, std::function<void()> on_fill) {
-                l2dCache->access(addr, write, std::move(on_fill));
+            [this](PhysAddr addr, bool write, MemDoneFn on_fill) {
+                l2dCache->access(addr, write, on_fill);
             }));
     }
 }
@@ -57,13 +57,13 @@ MemorySystem::access(MemAccess acc)
     if (acc.pte) {
         // PTE path: L2-only caching.
         ++stats_.pteAccesses;
-        l2dCache->access(acc.addr, acc.write, std::move(acc.onDone));
+        l2dCache->access(acc.addr, acc.write, acc.onDone);
         return;
     }
     SW_ASSERT(acc.sm < l1dCaches.size(),
               "data access from unknown SM %u", acc.sm);
     ++stats_.dataAccesses;
-    l1dCaches[acc.sm]->access(acc.addr, acc.write, std::move(acc.onDone));
+    l1dCaches[acc.sm]->access(acc.addr, acc.write, acc.onDone);
 }
 
 void

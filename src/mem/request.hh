@@ -6,14 +6,13 @@
 #ifndef SW_MEM_REQUEST_HH
 #define SW_MEM_REQUEST_HH
 
-#include <functional>
-
+#include "sim/callback.hh"
 #include "sim/types.hh"
 
 namespace sw {
 
 /** Completion callback: invoked at the cycle the access is finished. */
-using MemDoneFn = std::function<void()>;
+using MemDoneFn = Callback<void()>;
 
 /**
  * One sector-granularity access to the data-memory hierarchy.

@@ -17,7 +17,7 @@ HardwarePtwPool::HardwarePtwPool(EventQueue &eq, Params params,
                                  PageWalkCache &cache, PtAccessFn pt_access,
                                  WalkCompleteFn on_complete)
     : eventq(eq), params_(params), spaces(aspaces), pwc(cache),
-      ptAccess(std::move(pt_access)), onComplete(std::move(on_complete))
+      ptAccess(pt_access), onComplete(on_complete)
 {
     SW_ASSERT(params_.numWalkers > 0, "need at least one walker");
     SW_ASSERT(params_.pwbPorts > 0, "need at least one PWB port");

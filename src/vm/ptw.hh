@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "sim/event_queue.hh"

@@ -86,8 +86,8 @@ TranslationEngine::translate(SmId sm, TranslationKey key, TransDoneFn done)
     ++stats_.requests;
     ++tenantStats_[key.asid].requests;
     Cycle start = eventq.now();
-    auto fire = [this, sm, key, done = std::move(done), start]() mutable {
-        l1Lookup(sm, key, std::move(done), start);
+    auto fire = [this, sm, key, done, start]() {
+        l1Lookup(sm, key, done, start);
     };
     static_assert(EventFn::fitsInline<decltype(fire)>(),
                   "L1 lookup event must not spill to the slab pool");
@@ -124,23 +124,23 @@ TranslationEngine::l1Lookup(SmId sm, TranslationKey key, TransDoneFn done,
             it->second.size() <
                 static_cast<std::size_t>(cfg.l1TlbMergesPerMshr)) {
             ++stats_.l1MshrMerges;
-            it->second.push_back({std::move(done), start});
+            it->second.push_back({done, start});
             return;
         }
         // Merge capacity exhausted: park until this SM resolves something.
         ++stats_.l1MshrFailures;
-        l1WaitQueues[sm].push_back({key, std::move(done), start});
+        l1WaitQueues[sm].push_back({key, done, start});
         return;
     }
 
     if (!idealMshrs && mshrs.size() >=
         static_cast<std::size_t>(cfg.l1TlbMshrs)) {
         ++stats_.l1MshrFailures;
-        l1WaitQueues[sm].push_back({key, std::move(done), start});
+        l1WaitQueues[sm].push_back({key, done, start});
         return;
     }
 
-    mshrs[key].push_back({std::move(done), start});
+    mshrs[key].push_back({done, start});
     sendToL2(sm, key);
 }
 
@@ -150,9 +150,9 @@ TranslationEngine::drainL1WaitQueue(SmId sm)
     auto &queue = l1WaitQueues[sm];
     while (!queue.empty()) {
         std::size_t before = queue.size();
-        L1WaitEntry entry = std::move(queue.front());
+        L1WaitEntry entry = queue.front();
         queue.pop_front();
-        l1Lookup(sm, entry.key, std::move(entry.done), entry.start);
+        l1Lookup(sm, entry.key, entry.done, entry.start);
         if (queue.size() >= before) {
             // No progress: the retried request was parked again.
             break;
@@ -828,23 +828,41 @@ TranslationEngine::registerAudits(Auditor &auditor)
 }
 
 void
-TranslationEngine::ptAccess(PhysAddr addr, std::function<void()> done)
+TranslationEngine::ptAccess(PhysAddr addr, EventFn done)
 {
     if (cfg.fixedPtAccessLatency > 0) {
         stats_.ptReadLatency.add(cfg.fixedPtAccessLatency);
         eventq.scheduleIn(cfg.fixedPtAccessLatency, std::move(done));
         return;
     }
+    std::uint32_t slot;
+    if (!freePtReads.empty()) {
+        slot = freePtReads.back();
+        freePtReads.pop_back();
+    } else {
+        slot = static_cast<std::uint32_t>(ptReads.size());
+        ptReads.emplace_back();
+    }
+    ptReads[slot].done = std::move(done);
+    ptReads[slot].start = eventq.now();
     MemAccess acc;
     acc.addr = addr;
     acc.write = false;
     acc.pte = true;
-    acc.onDone = [this, start = eventq.now(),
-                  done = std::move(done)]() {
-        stats_.ptReadLatency.add(eventq.now() - start);
-        done();
-    };
-    mem.access(std::move(acc));
+    acc.onDone = [this, slot]() { ptReadDone(slot); };
+    mem.access(acc);
+}
+
+void
+TranslationEngine::ptReadDone(std::uint32_t slot)
+{
+    PtRead &read = ptReads[slot];
+    stats_.ptReadLatency.add(eventq.now() - read.start);
+    // Free the slot before firing: the continuation usually issues the
+    // walk's next read, which then reuses it.
+    EventFn done = std::move(read.done);
+    freePtReads.push_back(slot);
+    done();
 }
 
 } // namespace sw

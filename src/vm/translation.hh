@@ -21,13 +21,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "mem/memory_system.hh"
 #include "obs/trace.hh"
+#include "sim/callback.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
@@ -45,7 +45,7 @@ class CycleLedger;
 class EventLog;
 
 /** Delivered with the PFN when a translation resolves. */
-using TransDoneFn = std::function<void(Pfn)>;
+using TransDoneFn = Callback<void(Pfn)>;
 
 /** Outcome of a functional (zero-time) translation touch. */
 enum class TouchResult
@@ -119,9 +119,10 @@ class TranslationEngine
     /**
      * Page-table memory read used by all walk backends: routes to the
      * PTE path of the memory hierarchy, or to the fixed latency of the
-     * Fig 23 sensitivity sweep.
+     * Fig 23 sensitivity sweep.  @p done is an event handler, so a
+     * backend's MemDoneFn and a std::function both pass straight in.
      */
-    void ptAccess(PhysAddr addr, std::function<void()> done);
+    void ptAccess(PhysAddr addr, EventFn done);
 
     /** Walk-completion entry point, bound into backends at construction. */
     WalkCompleteFn
@@ -273,6 +274,8 @@ class TranslationEngine
     void createWalk(TranslationKey key, Cycle created);
     void onWalkComplete(const WalkResult &result);
     void resolveL1(SmId sm, TranslationKey key, Pfn pfn);
+    /** PTE read @p slot returned: record its latency, then fire it. */
+    void ptReadDone(std::uint32_t slot);
 
     // L2 array dispatch: the conventional TlbArray or (when configured)
     // the sub-entry-sharing SubEntryTlb of Li et al.
@@ -318,6 +321,20 @@ class TranslationEngine
     std::unordered_map<TranslationKey, L2Track> outstanding;
     std::uint32_t regularMshrInUse = 0;
     bool idealMshrs = false;
+
+    /**
+     * A page-table read in flight through the memory hierarchy: the
+     * backend's continuation and the cycle the read was issued.  Slots
+     * recycle through freePtReads, so the pool grows to the peak number
+     * of reads in flight and then never allocates again.
+     */
+    struct PtRead
+    {
+        EventFn done;
+        Cycle start = 0;
+    };
+    std::vector<PtRead> ptReads;
+    std::vector<std::uint32_t> freePtReads;
 
     PageWalkCache pwcCache;
     FaultBuffer faults_;

@@ -9,10 +9,11 @@
 #define SW_VM_WALK_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
+#include "mem/request.hh"
 #include "obs/stat_registry.hh"
+#include "sim/callback.hh"
 #include "sim/types.hh"
 #include "vm/address.hh"
 #include "vm/page_table.hh"
@@ -46,13 +47,13 @@ struct WalkResult
 };
 
 /** Invoked by a backend when a walk finishes. */
-using WalkCompleteFn = std::function<void(const WalkResult &)>;
+using WalkCompleteFn = Callback<void(const WalkResult &)>;
 
 /**
  * Issues one page-table memory read; the engine routes it to the PTE path
  * of the memory hierarchy (or a fixed latency in sensitivity sweeps).
  */
-using PtAccessFn = std::function<void(PhysAddr, std::function<void()>)>;
+using PtAccessFn = Callback<void(PhysAddr, MemDoneFn)>;
 
 /** Resolver of page-table walks behind the L2 TLB. */
 class WalkBackend

@@ -49,9 +49,9 @@ class PwWarpTest : public ::testing::Test
             return start + slots;
         };
         hooks.ptAccess = [this, mem_latency](PhysAddr,
-                                             std::function<void()> done) {
+                                             MemDoneFn done) {
             ++memReads;
-            eq.scheduleIn(mem_latency, std::move(done));
+            eq.scheduleIn(mem_latency, done);
         };
         hooks.pwcFill = [this](int level, TranslationKey, PhysAddr) {
             pwcFills.push_back(level);

@@ -42,9 +42,9 @@ class PwWarpHashedTest : public ::testing::Test
         hooks.reserveIssue = [this](std::uint32_t slots, Asid) {
             return eq.now() + slots;
         };
-        hooks.ptAccess = [this](PhysAddr, std::function<void()> done) {
+        hooks.ptAccess = [this](PhysAddr, MemDoneFn done) {
             ++memReads;
-            eq.scheduleIn(40, std::move(done));
+            eq.scheduleIn(40, done);
         };
         hooks.pwcFill = [this](int, TranslationKey, PhysAddr) { ++pwcFills; };
         hooks.complete = [this](const WalkResult &result) {

@@ -61,8 +61,13 @@ TEST_P(TranslationFuzz, AllTranslationsCorrectAndComplete)
 
     Rng rng(seed * 7919 + 13);
     constexpr int kRequests = 3000;
-    int completed = 0;
-    std::map<Vpn, Pfn> observed;
+    // Completions capture one pointer to this record (a TransDoneFn
+    // holds at most 16 bytes of capture).
+    struct Seen
+    {
+        int completed = 0;
+        std::map<Vpn, Pfn> observed;
+    } seen;
 
     // Burst schedule: clusters of same-vpn requests (merge pressure),
     // wide scans (capacity pressure), random singles.
@@ -80,9 +85,10 @@ TEST_P(TranslationFuzz, AllTranslationsCorrectAndComplete)
         SmId sm = SmId(rng.range(cfg.numSms));
         when += rng.range(20);
         eq.schedule(when, [&, sm, vpn]() {
-            engine.translate(sm, TranslationKey{0, vpn}, [&, vpn](Pfn pfn) {
-                ++completed;
-                auto [it, inserted] = observed.try_emplace(vpn, pfn);
+            Seen *s = &seen;
+            engine.translate(sm, TranslationKey{0, vpn}, [s, vpn](Pfn pfn) {
+                ++s->completed;
+                auto [it, inserted] = s->observed.try_emplace(vpn, pfn);
                 // A VPN must always resolve to the same frame.
                 EXPECT_EQ(it->second, pfn);
                 (void)inserted;
@@ -91,8 +97,8 @@ TEST_P(TranslationFuzz, AllTranslationsCorrectAndComplete)
     }
     eq.run();
 
-    EXPECT_EQ(completed, kRequests);
-    for (auto [vpn, pfn] : observed)
+    EXPECT_EQ(seen.completed, kRequests);
+    for (auto [vpn, pfn] : seen.observed)
         EXPECT_EQ(pt.translate(vpn), pfn);
 
     const TranslationEngine::Stats &stats = engine.stats();

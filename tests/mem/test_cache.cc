@@ -37,9 +37,9 @@ class CacheTest : public ::testing::Test
         return std::make_unique<Cache>(
             eq, params,
             [this, mem_latency](PhysAddr, bool,
-                                std::function<void()> on_fill) {
+                                MemDoneFn on_fill) {
                 ++memAccesses;
-                eq.scheduleIn(mem_latency, std::move(on_fill));
+                eq.scheduleIn(mem_latency, on_fill);
             });
     }
 
@@ -215,9 +215,9 @@ class HeldFillCacheTest : public CacheTest
     {
         return std::make_unique<Cache>(
             eq, params,
-            [this](PhysAddr addr, bool, std::function<void()> on_fill) {
+            [this](PhysAddr addr, bool, MemDoneFn on_fill) {
                 ++memAccesses;
-                held.emplace(addr / 32, std::move(on_fill));
+                held.emplace(addr / 32, on_fill);
             });
     }
 
@@ -227,13 +227,13 @@ class HeldFillCacheTest : public CacheTest
     {
         auto it = held.find(sector);
         ASSERT_NE(it, held.end()) << "no fill outstanding for " << sector;
-        std::function<void()> on_fill = std::move(it->second);
+        MemDoneFn on_fill = it->second;
         held.erase(it);
         on_fill();
         eq.run();
     }
 
-    std::map<std::uint64_t, std::function<void()>> held;
+    std::map<std::uint64_t, MemDoneFn> held;
 };
 
 TEST_F(HeldFillCacheTest, CollidingSectorsFilledOutOfOrderStayFindable)
@@ -413,8 +413,8 @@ TEST_P(CacheGeometry, FillThenProbeConsistent)
     params.latency = 1;
     params.mshrEntries = 64;
     Cache cache(eq, params,
-                [&eq](PhysAddr, bool, std::function<void()> fill) {
-                    eq.scheduleIn(5, std::move(fill));
+                [&eq](PhysAddr, bool, MemDoneFn fill) {
+                    eq.scheduleIn(5, fill);
                 });
     // Touch a set-worth of lines; all must be resident afterwards.
     for (std::uint32_t i = 0; i < ways; ++i) {

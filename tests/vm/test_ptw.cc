@@ -39,9 +39,9 @@ class PtwTest : public ::testing::Test
     {
         return std::make_unique<HardwarePtwPool>(
             eq, params, spaces, pwc,
-            [this, mem_latency](PhysAddr, std::function<void()> done) {
+            [this, mem_latency](PhysAddr, MemDoneFn done) {
                 ++memReads;
-                eq.scheduleIn(mem_latency, std::move(done));
+                eq.scheduleIn(mem_latency, done);
             },
             [this](const WalkResult &result) { results.push_back(result); });
     }

@@ -32,8 +32,8 @@ class PtwTimingTest : public ::testing::Test
     {
         return std::make_unique<HardwarePtwPool>(
             eq, params, spaces, pwc,
-            [this, mem_latency](PhysAddr, std::function<void()> done) {
-                eq.scheduleIn(mem_latency, std::move(done));
+            [this, mem_latency](PhysAddr, MemDoneFn done) {
+                eq.scheduleIn(mem_latency, done);
             },
             [this](const WalkResult &result) {
                 results.push_back(result);

@@ -34,8 +34,8 @@ struct EngineRig
         pool.pwbPorts = cfg.pwbPorts;
         engine.setBackend(std::make_unique<HardwarePtwPool>(
             eq, pool, spaces, engine.pwc(),
-            [this](PhysAddr addr, std::function<void()> done) {
-                engine.ptAccess(addr, std::move(done));
+            [this](PhysAddr addr, MemDoneFn done) {
+                engine.ptAccess(addr, done);
             },
             engine.completionFn()));
     }
@@ -73,8 +73,8 @@ class TranslationTest : public ::testing::Test
         pool.pwbPorts = cfg.pwbPorts;
         engine.setBackend(std::make_unique<HardwarePtwPool>(
             eq, pool, spaces, engine.pwc(),
-            [this](PhysAddr addr, std::function<void()> done) {
-                engine.ptAccess(addr, std::move(done));
+            [this](PhysAddr addr, MemDoneFn done) {
+                engine.ptAccess(addr, done);
             },
             engine.completionFn()));
     }
@@ -282,8 +282,8 @@ TEST_F(TranslationTest, FixedPtLatencyOverride)
     HardwarePtwPool::Params pool;
     fixed_engine.setBackend(std::make_unique<HardwarePtwPool>(
         eq, pool, spaces, fixed_engine.pwc(),
-        [&](PhysAddr addr, std::function<void()> done) {
-            fixed_engine.ptAccess(addr, std::move(done));
+        [&](PhysAddr addr, MemDoneFn done) {
+            fixed_engine.ptAccess(addr, done);
         },
         fixed_engine.completionFn()));
     bool done = false;

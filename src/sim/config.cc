@@ -1,5 +1,7 @@
 #include "sim/config.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace sw {
@@ -63,13 +65,33 @@ GpuConfig::validate() const
         fatal("GpuConfig: core organisation must be non-zero");
     if (warpSize > 32)
         fatal("GpuConfig: warpSize > 32 unsupported");
+    if (l1dWays == 0 || l2dWays == 0 || l1TlbEntries == 0 || l2TlbWays == 0)
+        fatal("GpuConfig: cache and TLB way counts must be non-zero");
     if (l2TlbEntries % l2TlbWays != 0)
         fatal("GpuConfig: L2 TLB entries (%u) not divisible by ways (%u)",
               l2TlbEntries, l2TlbWays);
     if (pageBytes != 64ull * 1024 && pageBytes != 2ull * 1024 * 1024)
         fatal("GpuConfig: page size must be 64KB or 2MB");
+    if (lineBytes == 0 || sectorBytes == 0)
+        fatal("GpuConfig: line and sector sizes must be non-zero");
+    // The caches split addresses into line and sector offsets by shifting.
+    if (!std::has_single_bit(lineBytes) || !std::has_single_bit(sectorBytes))
+        fatal("GpuConfig: line (%u B) and sector (%u B) sizes must be "
+              "powers of two", lineBytes, sectorBytes);
     if (lineBytes % sectorBytes != 0)
         fatal("GpuConfig: line size not a multiple of sector size");
+    // The set count may be any positive integer, but sets must be whole.
+    auto check_sets = [this](const char *cache, std::uint64_t bytes,
+                             std::uint32_t ways) {
+        std::uint64_t set_bytes = std::uint64_t(lineBytes) * ways;
+        if (bytes == 0 || bytes % set_bytes != 0) {
+            fatal("GpuConfig: %s size (%llu B) does not divide into whole "
+                  "sets of %u ways x %u B", cache,
+                  static_cast<unsigned long long>(bytes), ways, lineBytes);
+        }
+    };
+    check_sets("L1D", l1dBytes, l1dWays);
+    check_sets("L2D", l2dBytes, l2dWays);
     if (mode != TranslationMode::HardwarePtw &&
         mode != TranslationMode::Ideal && softPwbEntries == 0) {
         fatal("GpuConfig: SoftWalker mode requires SoftPWB entries");

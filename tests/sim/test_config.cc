@@ -106,6 +106,74 @@ TEST(ConfigDeath, RejectsZeroSms)
     EXPECT_DEATH(cfg.validate(), "non-zero");
 }
 
+TEST(ConfigDeath, RejectsZeroSectorSize)
+{
+    GpuConfig cfg = makeDefaultConfig();
+    cfg.sectorBytes = 0;
+    EXPECT_DEATH(cfg.validate(), "sector sizes must be non-zero");
+}
+
+TEST(ConfigDeath, RejectsZeroLineSize)
+{
+    GpuConfig cfg = makeDefaultConfig();
+    cfg.lineBytes = 0;
+    EXPECT_DEATH(cfg.validate(), "sector sizes must be non-zero");
+}
+
+TEST(ConfigDeath, RejectsNonPowerOfTwoLineSize)
+{
+    GpuConfig cfg = makeDefaultConfig();
+    cfg.lineBytes = 96;   // a multiple of the 32 B sector, but not 2^n
+    EXPECT_DEATH(cfg.validate(), "powers of two");
+}
+
+TEST(ConfigDeath, RejectsNonPowerOfTwoSectorSize)
+{
+    GpuConfig cfg = makeDefaultConfig();
+    cfg.lineBytes = 192;
+    cfg.sectorBytes = 48;
+    EXPECT_DEATH(cfg.validate(), "powers of two");
+}
+
+TEST(ConfigDeath, RejectsZeroCacheWays)
+{
+    GpuConfig l1 = makeDefaultConfig();
+    l1.l1dWays = 0;
+    EXPECT_DEATH(l1.validate(), "way counts must be non-zero");
+    GpuConfig l2 = makeDefaultConfig();
+    l2.l2dWays = 0;
+    EXPECT_DEATH(l2.validate(), "way counts must be non-zero");
+}
+
+TEST(ConfigDeath, RejectsZeroTlbWays)
+{
+    GpuConfig l2 = makeDefaultConfig();
+    l2.l2TlbWays = 0;
+    EXPECT_DEATH(l2.validate(), "way counts must be non-zero");
+    // The fully associative L1 TLB has one way per entry.
+    GpuConfig l1 = makeDefaultConfig();
+    l1.l1TlbEntries = 0;
+    EXPECT_DEATH(l1.validate(), "way counts must be non-zero");
+}
+
+TEST(ConfigDeath, RejectsCacheSizeOfPartialSets)
+{
+    GpuConfig l1 = makeDefaultConfig();
+    l1.l1dBytes = 128 * 1024 + 128;   // one line past 128 sets
+    EXPECT_DEATH(l1.validate(), "L1D size .* whole sets");
+    GpuConfig l2 = makeDefaultConfig();
+    l2.l2dBytes = 0;
+    EXPECT_DEATH(l2.validate(), "L2D size .* whole sets");
+}
+
+TEST(Config, ValidateAcceptsNonPowerOfTwoSetCounts)
+{
+    GpuConfig cfg = makeDefaultConfig();
+    cfg.l1dBytes = 96 * 1024;   // 96 sets of 8 ways
+    cfg.l2dBytes = 6 * 1024 * 1024;
+    cfg.validate();
+}
+
 TEST(ConfigDeath, RejectsOversizedInTlbMshr)
 {
     GpuConfig cfg = makeDefaultConfig();

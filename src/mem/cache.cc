@@ -11,151 +11,51 @@
 
 namespace sw {
 
-MshrTable::MshrTable(std::uint32_t capacity)
-    : capacity(capacity),
-      indexSize(std::bit_ceil(std::max<std::uint32_t>(2 * capacity, 2))),
-      hashShift(64 - std::countr_zero(indexSize))
-{
-}
-
-std::uint32_t
-MshrTable::home(std::uint64_t sector) const
-{
-    // Fibonacci hashing: sector addresses are dense and strided, the
-    // multiply spreads them over the top bits.
-    return static_cast<std::uint32_t>((sector * 0x9e3779b97f4a7c15ull) >>
-                                      hashShift);
-}
-
-std::uint32_t
-MshrTable::position(std::uint64_t sector) const
-{
-    if (count == 0)
-        return kNoSlot;
-    for (std::uint32_t i = home(sector);; i = (i + 1) & (indexSize - 1)) {
-        std::uint32_t slot = index[i];
-        if (slot == kNoSlot)
-            return kNoSlot;
-        if (sectors[slot] == sector)
-            return i;
-    }
-}
-
-MshrTable::Waiters *
-MshrTable::find(std::uint64_t sector)
-{
-    std::uint32_t pos = position(sector);
-    return pos == kNoSlot ? nullptr : &slots[index[pos]];
-}
-
-MshrTable::Waiters &
-MshrTable::allocate(std::uint64_t sector)
-{
-    std::uint32_t slot;
-    if (!freeSlots.empty()) {
-        slot = freeSlots.back();
-        freeSlots.pop_back();
-    } else {
-        SW_ASSERT(slots.size() < capacity,
-                  "MSHR table allocation past capacity %u", capacity);
-        if (index.empty()) {
-            index.assign(indexSize, kNoSlot);
-            slots.reserve(capacity);
-            sectors.reserve(capacity);
-        }
-        slot = static_cast<std::uint32_t>(slots.size());
-        slots.emplace_back();
-        sectors.emplace_back();
-    }
-    sectors[slot] = sector;
-    std::uint32_t i = home(sector);
-    while (index[i] != kNoSlot)
-        i = (i + 1) & (indexSize - 1);
-    index[i] = slot;
-    ++count;
-    return slots[slot];
-}
-
-std::uint32_t
-MshrTable::take(std::uint64_t sector)
-{
-    std::uint32_t hole = position(sector);
-    if (hole == kNoSlot)
-        return kNoSlot;
-    std::uint32_t slot = index[hole];
-    --count;
-    // Backward-shift deletion: pull each later entry of the probe run
-    // into the hole unless its home lies cyclically in (hole, j].
-    std::uint32_t mask = indexSize - 1;
-    for (std::uint32_t j = (hole + 1) & mask; index[j] != kNoSlot;
-         j = (j + 1) & mask) {
-        std::uint32_t h = home(sectors[index[j]]);
-        bool stays = hole <= j ? (hole < h && h <= j) : (hole < h || h <= j);
-        if (stays)
-            continue;
-        index[hole] = index[j];
-        hole = j;
-    }
-    index[hole] = kNoSlot;
-    return slot;
-}
-
-void
-MshrTable::recycle(std::uint32_t slot)
-{
-    Waiters &w = slots[slot];
-    if (w.capacity() > kKeptWaiters)
-        Waiters().swap(w);
-    else
-        w.clear();
-    freeSlots.push_back(slot);
-}
-
 Cache::Cache(EventQueue &eq, Params params, CacheForwardFn fwd)
     : eventq(eq), params_(std::move(params)), forward(std::move(fwd)),
       mshrs(params_.mshrEntries)
 {
+    SW_ASSERT(params_.ways > 0, "cache '%s' needs at least one way",
+              params_.name.c_str());
+    SW_ASSERT(std::has_single_bit(params_.lineBytes) &&
+                  std::has_single_bit(params_.sectorBytes),
+              "line and sector sizes must be powers of two");
     SW_ASSERT(params_.lineBytes % params_.sectorBytes == 0,
               "line size must be a multiple of sector size");
     std::uint64_t num_lines = params_.sizeBytes / params_.lineBytes;
-    SW_ASSERT(num_lines % params_.ways == 0,
+    SW_ASSERT(num_lines > 0 && num_lines % params_.ways == 0,
               "cache lines (%llu) not divisible by ways (%u)",
               static_cast<unsigned long long>(num_lines), params_.ways);
     numSets = static_cast<std::uint32_t>(num_lines / params_.ways);
+    lineShift = static_cast<unsigned>(std::countr_zero(params_.lineBytes));
+    sectorShift = static_cast<unsigned>(std::countr_zero(params_.sectorBytes));
     sectorsPerLine = params_.lineBytes / params_.sectorBytes;
     SW_ASSERT(sectorsPerLine <= 32, "sector mask limited to 32 sectors");
-    lines.resize(num_lines);
+    tagKeys.resize(num_lines);
+    sectorMasks.resize(num_lines);
+    lruTicks.resize(num_lines);
 }
 
-std::uint64_t
-Cache::lineAddr(PhysAddr addr) const
+Cache::Place
+Cache::locate(PhysAddr addr) const
 {
-    return addr / params_.lineBytes;
+    std::uint64_t line_addr = addr >> lineShift;
+    std::uint64_t set = line_addr % numSets;
+    std::uint32_t sector = static_cast<std::uint32_t>(addr >> sectorShift) &
+                           (sectorsPerLine - 1);
+    return {static_cast<std::size_t>(set) * params_.ways,
+            line_addr / numSets + 1, 1u << sector};
 }
 
-std::uint64_t
-Cache::sectorAddr(PhysAddr addr) const
+std::size_t
+Cache::findWay(const Place &place) const
 {
-    return addr / params_.sectorBytes;
-}
-
-std::uint32_t
-Cache::sectorIndex(PhysAddr addr) const
-{
-    return static_cast<std::uint32_t>(
-        (addr / params_.sectorBytes) % sectorsPerLine);
-}
-
-std::uint64_t
-Cache::setIndex(std::uint64_t line_addr) const
-{
-    return line_addr % numSets;
-}
-
-std::uint64_t
-Cache::tagOf(std::uint64_t line_addr) const
-{
-    return line_addr / numSets;
+    const std::uint64_t *keys = tagKeys.data() + place.firstWay;
+    for (std::uint32_t w = 0; w < params_.ways; ++w) {
+        if (keys[w] == place.key)
+            return place.firstWay + w;
+    }
+    return kNoWay;
 }
 
 void
@@ -173,23 +73,17 @@ Cache::access(PhysAddr addr, bool write, MemDoneFn on_done)
 bool
 Cache::isResident(PhysAddr addr) const
 {
-    std::uint64_t la = lineAddr(addr);
-    std::uint64_t set = setIndex(la);
-    std::uint64_t tag = tagOf(la);
-    std::uint32_t sector_bit = 1u << sectorIndex(addr);
-    for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        const Line &line = lines[set * params_.ways + w];
-        if (line.valid && line.tag == tag && (line.sectorMask & sector_bit))
-            return true;
-    }
-    return false;
+    Place place = locate(addr);
+    std::size_t way = findWay(place);
+    return way != kNoWay && (sectorMasks[way] & place.sectorBit);
 }
 
 void
 Cache::flush()
 {
-    for (auto &line : lines)
-        line = Line{};
+    std::fill(tagKeys.begin(), tagKeys.end(), 0);
+    std::fill(sectorMasks.begin(), sectorMasks.end(), 0);
+    std::fill(lruTicks.begin(), lruTicks.end(), 0);
 }
 
 void
@@ -197,25 +91,18 @@ Cache::lookup(PhysAddr addr, bool write, MemDoneFn on_done,
               bool retry)
 {
     SW_PROF_SCOPE(prof::Zone::CacheDram);
-    std::uint64_t la = lineAddr(addr);
-    std::uint64_t set = setIndex(la);
-    std::uint64_t tag = tagOf(la);
-    std::uint32_t sector_bit = 1u << sectorIndex(addr);
-
-    for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        Line &line = lines[set * params_.ways + w];
-        if (line.valid && line.tag == tag) {
-            if (line.sectorMask & sector_bit) {
-                if (!retry)
-                    ++stats_.hits;
-                line.lruTick = ++lruCounter;
-                on_done();
-                return;
-            }
+    Place place = locate(addr);
+    std::size_t way = findWay(place);
+    if (way != kNoWay) {
+        if (sectorMasks[way] & place.sectorBit) {
             if (!retry)
-                ++stats_.sectorMisses;
-            break;
+                ++stats_.hits;
+            lruTicks[way] = ++lruCounter;
+            on_done();
+            return;
         }
+        if (!retry)
+            ++stats_.sectorMisses;
     }
 
     if (!retry)
@@ -224,7 +111,7 @@ Cache::lookup(PhysAddr addr, bool write, MemDoneFn on_done,
     // Writes allocate like reads in this model (write-allocate,
     // fetch-on-write); the timing consequence is identical.
     std::uint64_t sa = sectorAddr(addr);
-    if (MshrTable::Waiters *waiters = mshrs.find(sa)) {
+    if (Waiters *waiters = mshrs.find(sa)) {
         if (waiters->size() <
             static_cast<std::size_t>(params_.maxMergesPerMshr)) {
             ++stats_.mshrMerges;
@@ -243,7 +130,7 @@ Cache::lookup(PhysAddr addr, bool write, MemDoneFn on_done,
         return;
     }
 
-    mshrs.allocate(sa).push_back(on_done);
+    mshrs.insert(sa).push_back(on_done);
     SW_AUDIT(mshrs.size() <= params_.mshrEntries,
              "%s: MSHR file overallocated (%zu > %u)",
              params_.name.c_str(), mshrs.size(), params_.mshrEntries);
@@ -260,8 +147,8 @@ Cache::handleFill(PhysAddr addr)
     // reads as unallocated to them; the waiters run from the slot, which
     // returns to the free list only after the last one.
     std::uint32_t slot = mshrs.take(sectorAddr(addr));
-    SW_ASSERT(slot != MshrTable::kNoSlot, "fill for sector without an MSHR");
-    for (auto &waiter : mshrs.waiters(slot))
+    SW_ASSERT(slot != MshrFile::kNoSlot, "fill for sector without an MSHR");
+    for (auto &waiter : mshrs.at(slot))
         waiter();
     mshrs.recycle(slot);
 
@@ -271,38 +158,36 @@ Cache::handleFill(PhysAddr addr)
 void
 Cache::install(PhysAddr addr)
 {
-    std::uint64_t la = lineAddr(addr);
-    std::uint64_t set = setIndex(la);
-    std::uint64_t tag = tagOf(la);
-    std::uint32_t sector_bit = 1u << sectorIndex(addr);
+    Place place = locate(addr);
+    const std::uint64_t *keys = tagKeys.data() + place.firstWay;
 
-    // Existing line: just set the sector bit.
+    // Existing line: just set the sector bit.  Otherwise the victim is
+    // the first invalid way, else the least recently used one.
+    std::size_t victim = kNoWay;
     for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        Line &line = lines[set * params_.ways + w];
-        if (line.valid && line.tag == tag) {
-            line.sectorMask |= sector_bit;
-            line.lruTick = ++lruCounter;
+        if (keys[w] == place.key) {
+            std::size_t way = place.firstWay + w;
+            sectorMasks[way] |= place.sectorBit;
+            lruTicks[way] = ++lruCounter;
             return;
         }
+        if (keys[w] == 0 && victim == kNoWay)
+            victim = place.firstWay + w;
     }
 
-    // Pick invalid way, else LRU victim.
-    Line *victim = nullptr;
-    for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        Line &line = lines[set * params_.ways + w];
-        if (!line.valid) {
-            victim = &line;
-            break;
+    if (victim == kNoWay) {
+        const std::uint64_t *ticks = lruTicks.data() + place.firstWay;
+        std::uint32_t lru = 0;
+        for (std::uint32_t w = 1; w < params_.ways; ++w) {
+            if (ticks[w] < ticks[lru])
+                lru = w;
         }
-        if (!victim || line.lruTick < victim->lruTick)
-            victim = &line;
-    }
-    if (victim->valid)
+        victim = place.firstWay + lru;
         ++stats_.evictions;
-    victim->valid = true;
-    victim->tag = tag;
-    victim->sectorMask = sector_bit;
-    victim->lruTick = ++lruCounter;
+    }
+    tagKeys[victim] = place.key;
+    sectorMasks[victim] = place.sectorBit;
+    lruTicks[victim] = ++lruCounter;
 }
 
 void
@@ -333,20 +218,19 @@ Cache::saveState(CkptWriter &w) const
     w.section("cache");
     w.str(params_.name);
     // Tag stores are mostly invalid early in a run: write valid lines
-    // sparsely, keyed by their index in the flat line array.
-    std::uint32_t valid = 0;
-    for (const Line &line : lines)
-        valid += line.valid ? 1 : 0;
-    w.u32(std::uint32_t(lines.size()));
+    // sparsely, keyed by their index in the tag store.
+    std::uint32_t total = std::uint32_t(tagKeys.size());
+    std::uint32_t valid = std::uint32_t(
+        total - std::count(tagKeys.begin(), tagKeys.end(), 0));
+    w.u32(total);
     w.u32(valid);
-    for (std::uint32_t i = 0; i < lines.size(); ++i) {
-        const Line &line = lines[i];
-        if (!line.valid)
+    for (std::uint32_t i = 0; i < total; ++i) {
+        if (tagKeys[i] == 0)
             continue;
         w.u32(i);
-        w.u64(line.tag);
-        w.u32(line.sectorMask);
-        w.u64(line.lruTick);
+        w.u64(tagKeys[i] - 1);
+        w.u32(sectorMasks[i]);
+        w.u64(lruTicks[i]);
     }
     w.u64(lruCounter);
     w.u64(stats_.accesses);
@@ -368,28 +252,28 @@ Cache::restoreState(CkptReader &r)
               params_.name.c_str());
     }
     std::uint32_t total = r.u32();
-    if (total != lines.size()) {
+    if (total != tagKeys.size()) {
         fatal("checkpoint cache '%s' has %u lines, this config has %zu",
-              name.c_str(), total, lines.size());
+              name.c_str(), total, tagKeys.size());
     }
     std::uint32_t valid = r.u32();
     if (valid > total) {
         fatal("checkpoint cache '%s' has %u valid of %u lines",
               name.c_str(), valid, total);
     }
-    for (Line &line : lines)
-        line = Line{};
+    flush();
     for (std::uint32_t n = 0; n < valid; ++n) {
         std::uint32_t idx = r.u32();
-        if (idx >= lines.size())
+        if (idx >= total)
             fatal("checkpoint cache line index %u out of range", idx);
-        Line &line = lines[idx];
-        if (line.valid)
+        if (tagKeys[idx] != 0)
             fatal("checkpoint cache line index %u duplicated", idx);
-        line.valid = true;
-        line.tag = r.u64();
-        line.sectorMask = r.u32();
-        line.lruTick = r.u64();
+        std::uint64_t tag = r.u64();
+        if (tag == ~std::uint64_t(0))
+            fatal("checkpoint cache line %u has tag out of range", idx);
+        tagKeys[idx] = tag + 1;
+        sectorMasks[idx] = r.u32();
+        lruTicks[idx] = r.u64();
     }
     lruCounter = r.u64();
     stats_.accesses = r.u64();

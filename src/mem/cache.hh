@@ -17,6 +17,7 @@
 
 #include "mem/request.hh"
 #include "sim/event_queue.hh"
+#include "sim/slot_map.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -35,78 +36,15 @@ using CacheForwardFn =
     Callback<void(PhysAddr sector_addr, bool write, MemDoneFn on_fill)>;
 
 /**
- * Fixed-capacity MSHR file keyed by sector address.
+ * Sectored set-associative cache with MSHRs.
  *
- * Up to `capacity` slots, each holding one miss's waiter FIFO, are
- * recycled through a free list and indexed by an open-addressed,
- * linear-probing table of at least twice the capacity (a power of two, so
- * probe runs stay short).  Deletion shifts later entries of the probe run
- * back instead of leaving tombstones, so lookups never slow down as misses
- * come and go.  A recycled slot keeps its waiter vector's capacity (up to
- * kKeptWaiters) for its next miss: in steady state an MSHR costs no
- * allocation.  Storage is claimed on the first miss, so building a
- * machine whose caches never miss costs nothing.
+ * The tag store is three parallel arrays, one entry per way: a 64-bit
+ * tag key (tag + 1, 0 = invalid), a sector mask and an LRU tick.  A set
+ * scan reads only the keys (8 B per way, so a 16-way set is two host
+ * cache lines); the mask and tick of the matched way are touched only on
+ * a hit or a fill.  Line and sector sizes are powers of two, so their
+ * offsets are shifts; the set count may be any positive integer.
  */
-class MshrTable
-{
-  public:
-    using Waiters = std::vector<MemDoneFn>;
-
-    static constexpr std::uint32_t kNoSlot = ~std::uint32_t(0);
-
-    explicit MshrTable(std::uint32_t capacity);
-
-    /** MSHRs currently findable by sector. */
-    std::size_t size() const { return count; }
-    bool empty() const { return count == 0; }
-
-    /** Waiters of @p sector's MSHR, or nullptr if none is allocated. */
-    Waiters *find(std::uint64_t sector);
-
-    /** Allocate an MSHR for @p sector (absent; fewer than capacity live). */
-    Waiters &allocate(std::uint64_t sector);
-
-    /**
-     * Remove @p sector's MSHR from the index and return its slot, or
-     * kNoSlot if it has none.  The slot's waiters stay put (and the slot
-     * stays out of circulation) until recycle().
-     */
-    std::uint32_t take(std::uint64_t sector);
-
-    /** Waiters of a slot returned by take(), valid until recycle(). */
-    Waiters &waiters(std::uint32_t slot) { return slots[slot]; }
-
-    /** Clear a taken slot's waiters and return it to the free list. */
-    void recycle(std::uint32_t slot);
-
-    /** Home position of @p sector in the index (where probing starts). */
-    std::uint32_t home(std::uint64_t sector) const;
-
-  private:
-    friend struct AuditTester;   ///< negative-path audit tests only
-
-    /**
-     * Waiter capacity a recycled slot keeps; a rare burst of merges
-     * beyond it gives its buffer back instead of pinning it.
-     */
-    static constexpr std::size_t kKeptWaiters = 8;
-
-    /** Index position holding @p sector, or kNoSlot. */
-    std::uint32_t position(std::uint64_t sector) const;
-
-    std::uint32_t capacity;
-    std::uint32_t indexSize;
-    int hashShift;
-    std::size_t count = 0;
-    /** Waiter FIFOs and their sectors; grow to at most capacity. */
-    std::vector<Waiters> slots;
-    std::vector<std::uint64_t> sectors;
-    std::vector<std::uint32_t> freeSlots;
-    /** Open-addressed index of slot numbers (kNoSlot: empty). */
-    std::vector<std::uint32_t> index;
-};
-
-/** Sectored set-associative cache with MSHRs. */
 class Cache
 {
   public:
@@ -176,22 +114,31 @@ class Cache
     /** Restore state saved by saveState(); geometry must match. */
     void restoreState(CkptReader &r);
 
+    /** Waiter FIFO of one outstanding miss. */
+    using Waiters = std::vector<MemDoneFn>;
+    /** Outstanding misses keyed by sector address. */
+    using MshrFile = SlotMap<std::uint64_t, Waiters>;
+
   private:
     friend struct AuditTester;   ///< negative-path audit tests only
 
-    struct Line
+    /** Where an address lives in the tag store. */
+    struct Place
     {
-        bool valid = false;
-        std::uint64_t tag = 0;
-        std::uint32_t sectorMask = 0;   ///< bit per resident sector
-        std::uint64_t lruTick = 0;
+        std::size_t firstWay;    ///< tag-store index of way 0 of the set
+        std::uint64_t key;       ///< tag + 1
+        std::uint32_t sectorBit; ///< the sector's bit in the line's mask
     };
 
-    std::uint64_t lineAddr(PhysAddr addr) const;
-    std::uint64_t sectorAddr(PhysAddr addr) const;
-    std::uint32_t sectorIndex(PhysAddr addr) const;
-    std::uint64_t setIndex(std::uint64_t line_addr) const;
-    std::uint64_t tagOf(std::uint64_t line_addr) const;
+    static constexpr std::size_t kNoWay = ~std::size_t(0);
+
+    Place locate(PhysAddr addr) const;
+    /** Tag-store index of the way holding the line, or kNoWay. */
+    std::size_t findWay(const Place &place) const;
+    std::uint64_t sectorAddr(PhysAddr addr) const
+    {
+        return addr >> sectorShift;
+    }
 
     /**
      * After the lookup latency: resolve hit/miss.
@@ -214,12 +161,16 @@ class Cache
     CacheForwardFn forward;
 
     std::uint32_t numSets;
+    unsigned lineShift;
+    unsigned sectorShift;
     std::uint32_t sectorsPerLine;
-    std::vector<Line> lines;            ///< numSets * ways
+    /** Tag store, numSets * ways entries each, way-major within a set. */
+    std::vector<std::uint64_t> tagKeys;   ///< tag + 1; 0 = invalid
+    std::vector<std::uint32_t> sectorMasks;  ///< bit per resident sector
+    std::vector<std::uint64_t> lruTicks;
     std::uint64_t lruCounter = 0;
 
-    /** Outstanding misses keyed by sector address. */
-    MshrTable mshrs;
+    MshrFile mshrs;
 
     /** Requests waiting for a free MSHR. */
     struct Waiting

@@ -15,6 +15,12 @@
  * partitioning each tenant's victim selection is confined to its own way
  * slice (setWayPartition); lookups still scan every way, which is safe
  * because tags are ASID-qualified.
+ *
+ * The array is stored as parallel per-way arrays.  A tag scan reads only
+ * the VPN array (8 B per way, so a 32-way fully associative L1 TLB is
+ * four host cache lines) and checks state and ASID only on a VPN match,
+ * in way order, so a pending and a valid way with the same key resolve
+ * exactly as a scan of whole entries would.
  */
 
 #ifndef SW_VM_TLB_HH
@@ -125,13 +131,13 @@ class TlbArray
     void
     forEachValid(Fn &&fn) const
     {
-        for (const Entry &entry : entries) {
-            if (entry.state == EntryState::Valid)
-                fn(TranslationKey{entry.asid, entry.vpn}, entry.pfn);
+        for (std::size_t i = 0; i < states.size(); ++i) {
+            if (states[i] == EntryState::Valid)
+                fn(TranslationKey{asids[i], vpns[i]}, pfns[i]);
         }
     }
 
-    std::uint32_t numEntries() const { return std::uint32_t(entries.size()); }
+    std::uint32_t numEntries() const { return std::uint32_t(vpns.size()); }
     std::uint32_t numWays() const { return ways; }
     std::uint32_t numSets() const { return sets; }
     std::uint64_t setOf(Vpn vpn) const { return vpn % sets; }
@@ -155,24 +161,34 @@ class TlbArray
   private:
     friend struct AuditTester;   ///< negative-path audit tests only
 
-    struct Entry
-    {
-        EntryState state = EntryState::Invalid;
-        Asid asid = 0;
-        Vpn vpn = 0;
-        Pfn pfn = 0;
-        std::uint64_t lruTick = 0;
-    };
+    static constexpr std::size_t kNoWay = ~std::size_t(0);
 
-    Entry *findValid(TranslationKey key);
-    const Entry *findValidConst(TranslationKey key) const;
+    /**
+     * Array index of the first way of @p key's set that holds @p key in
+     * @p state, or kNoWay.
+     */
+    std::size_t findWay(TranslationKey key, EntryState state) const;
+    /**
+     * Victim for a new entry in @p key's set: the first invalid way of
+     * the ASID's way range, else its least recently used valid way;
+     * pending ways are never chosen.  kNoWay if every way is pending.
+     */
+    std::size_t pickVictim(TranslationKey key) const;
     /** Way range victim selection may touch for @p asid. */
     std::pair<std::uint32_t, std::uint32_t> victimWays(Asid asid) const;
+    /** Overwrite @p way with a new entry, most recently used. */
+    void setEntry(std::size_t way, EntryState state, TranslationKey key,
+                  Pfn pfn);
 
     std::string name_;
     std::uint32_t ways;
     std::uint32_t sets;
-    std::vector<Entry> entries;
+    /** Per-way arrays, sets * ways each, way-major within a set. */
+    std::vector<Vpn> vpns;
+    std::vector<EntryState> states;
+    std::vector<Asid> asids;
+    std::vector<Pfn> pfns;
+    std::vector<std::uint64_t> lruTicks;
     /** Per-ASID (first way, way count); empty = no partitioning. */
     std::vector<std::pair<std::uint32_t, std::uint32_t>> waySlices;
     std::uint64_t lruCounter = 0;

@@ -130,16 +130,14 @@ struct AuditTester
     }
 
     /**
-     * Plant an MSHR entry no fill will ever clear.  Past capacity the
-     * table grows a slot, so the capacity audit can be driven over it.
+     * Plant an MSHR entry no fill will ever clear.  The table grows past
+     * the MSHR file's capacity, so the capacity audit can be driven over
+     * it.
      */
     static void
     insertFakeMshr(Cache &cache, std::uint64_t sector_addr)
     {
-        MshrTable &table = cache.mshrs;
-        if (table.size() >= table.capacity)
-            ++table.capacity;
-        table.allocate(sector_addr);
+        cache.mshrs.insert(sector_addr);
     }
 };
 

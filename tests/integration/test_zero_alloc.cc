@@ -22,7 +22,9 @@
 
 #include "core/softwalker.hh"
 #include "gpu/gpu.hh"
+#include "sim/slot_map.hh"
 #include "test_util.hh"
+#include "vm/address.hh"
 #include "workload/generators.hh"
 
 namespace {
@@ -109,4 +111,38 @@ TEST(ZeroAlloc, HardwarePtwSteadyStateAllocatesNothing)
 TEST(ZeroAlloc, SoftWalkerSteadyStateAllocatesNothing)
 {
     expectQuotaIndependent(test::smallSoftWalkerConfig());
+}
+
+/**
+ * The miss-file table on its own: once a working set of keys has cycled
+ * through insert, take and recycle, further cycles over fresh keys reuse
+ * slots, waiter buffers and the index, and allocate nothing.
+ */
+TEST(ZeroAlloc, SlotMapSteadyStateCycleAllocatesNothing)
+{
+    using Map = SlotMap<TranslationKey, std::vector<std::uint64_t>>;
+    Map map(32);
+    Vpn next = 0;
+    auto cycle = [&map, &next]() {
+        TranslationKey live[24];
+        for (TranslationKey &key : live) {
+            key = {Asid(next % 3), next};
+            ++next;
+            std::vector<std::uint64_t> &waiters = map.insert(key);
+            for (std::uint64_t w = 0; w <= key.vpn % 6; ++w)
+                waiters.push_back(w);
+        }
+        // Out of insertion order, like fills returning.
+        for (int i = 0; i < 24; ++i) {
+            std::uint32_t slot = map.take(live[(i * 7) % 24]);
+            ASSERT_NE(slot, Map::kNoSlot);
+            map.recycle(slot);
+        }
+    };
+    for (int warm = 0; warm < 8; ++warm)
+        cycle();
+    std::uint64_t before = gAllocs;
+    for (int round = 0; round < 1000; ++round)
+        cycle();
+    EXPECT_EQ(gAllocs - before, 0u);
 }

@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "bench_main.hh"
 
 #include "mem/cache.hh"
@@ -129,6 +131,68 @@ BM_CacheAccessHit(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheAccessHit);
+
+/**
+ * Miss-and-fill through an L2D-shaped cache (4 MiB, 16 ways) from random
+ * sectors over 64 MiB: nearly every access scans a whole set, misses,
+ * allocates an MSHR and installs over an LRU victim, so the tag store's
+ * host layout is on the measured path (a hit on one hot sector is not).
+ */
+static void
+BM_CacheMissFill(benchmark::State &state)
+{
+    EventQueue eq;
+    Cache::Params params;
+    params.sizeBytes = 4ull << 20;
+    params.ways = 16;
+    params.latency = 1;
+    Cache cache(eq, params,
+                [&eq](PhysAddr, bool, MemDoneFn fill) {
+                    eq.scheduleIn(1, fill);
+                });
+    Rng rng(3);
+    std::vector<PhysAddr> addrs(1 << 16);
+    for (PhysAddr &addr : addrs)
+        addr = rng.range((64ull << 20) / 32) * 32;
+    // Fill the tag store so every miss evicts.
+    for (std::size_t i = 0; i < 4 * addrs.size(); ++i) {
+        cache.access(rng.range((64ull << 20) / 32) * 32, false, []() {});
+        eq.run();
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        cache.access(addrs[i], false, []() {});
+        eq.run();
+        i = (i + 1) & (addrs.size() - 1);
+    }
+    benchmark::DoNotOptimize(cache.stats().misses);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheMissFill);
+
+/**
+ * Lookups that miss a full 32-entry fully associative L1 TLB: each one
+ * scans every way, the common case on irregular workloads.
+ */
+static void
+BM_L1TlbMissScan(benchmark::State &state)
+{
+    TlbArray tlb("l1", 32, 32);
+    for (Vpn vpn = 0; vpn < 32; ++vpn)
+        tlb.fill({0, vpn}, vpn + 1);
+    Rng rng(5);
+    std::vector<Vpn> misses(1024);
+    for (Vpn &vpn : misses)
+        vpn = 32 + rng.range(1u << 20);
+    Pfn pfn = 0;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(tlb.lookup({0, misses[i]}, pfn));
+        i = (i + 1) & (misses.size() - 1);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_L1TlbMissScan);
 
 static void
 BM_RngRange(benchmark::State &state)

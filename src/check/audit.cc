@@ -78,8 +78,9 @@ Auditor::schedulePeriodic(EventQueue &eq, Cycle interval)
     // our own: sweeping must not advance the clock, extend the run past its
     // natural drain point, or change eventsExecuted() — the simulated
     // timeline has to be bit-identical with auditing on and off.
-    eq.setPeriodicCheck(interval,
-                        [this](Cycle now) { checkNow(now); });
+    eq.removePeriodicCheck(sweepId);
+    sweepId = eq.addPeriodicCheck(interval,
+                                  [this](Cycle now) { checkNow(now); });
 }
 
 void

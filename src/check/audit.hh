@@ -149,7 +149,9 @@ class Auditor
      * run between two real events whenever @p interval cycles have elapsed
      * since the previous sweep.  The hook observes without perturbing —
      * it schedules nothing, so the simulated timeline (final cycle, event
-     * count) is identical with auditing on and off.
+     * count) is identical with auditing on and off.  Re-arming on the
+     * same queue replaces the previous subscription (the Gpu re-arms
+     * every run segment).
      */
     void schedulePeriodic(EventQueue &eq, Cycle interval);
 
@@ -187,6 +189,8 @@ class Auditor
     std::vector<Registered> audits;
     FailurePolicy policy_ = FailurePolicy::Panic;
     std::vector<AuditViolation> violations_;
+    /** The queue subscription schedulePeriodic() holds (0: none). */
+    std::uint64_t sweepId = 0;
     Stats stats_;
 };
 

@@ -188,26 +188,9 @@ class EventQueue
             if (sweeps[i].id == id) {
                 sweeps.erase(sweeps.begin() +
                              static_cast<std::ptrdiff_t>(i));
-                if (legacySweepId == id)
-                    legacySweepId = 0;
                 return;
             }
         }
-    }
-
-    /**
-     * Legacy single-slot interface: (re)installs one hook, replacing the
-     * previous setPeriodicCheck() subscription.  An @p interval of 0 (or
-     * an empty @p fn) uninstalls it.  Hooks added via addPeriodicCheck()
-     * are unaffected.
-     */
-    void
-    setPeriodicCheck(Cycle interval, SweepFn fn)
-    {
-        if (legacySweepId)
-            removePeriodicCheck(legacySweepId);
-        if (interval && fn)
-            legacySweepId = addPeriodicCheck(interval, std::move(fn));
     }
 
     /** Number of live periodic-check subscriptions. */
@@ -293,9 +276,9 @@ class EventQueue
         curCycle = 0;
         nextSeq = 0;
         numExecuted = 0;
+        // Sweep ids keep counting: a handle held across reset() can
+        // never unsubscribe a hook added after it.
         sweeps.clear();
-        nextSweepId = 1;
-        legacySweepId = 0;
     }
 
   private:
@@ -481,7 +464,6 @@ class EventQueue
     std::uint64_t numExecuted = 0;
     std::vector<Sweep> sweeps;
     std::uint64_t nextSweepId = 1;
-    std::uint64_t legacySweepId = 0;
 };
 
 } // namespace sw

@@ -149,6 +149,24 @@ TEST(Auditor, PeriodicSweepDoesNotPerturbTheTimeline)
     EXPECT_EQ(run_once(false), run_once(true));
 }
 
+/** Re-arming replaces the auditor's own sweep and leaves others alone. */
+TEST(Auditor, RearmingReplacesItsOwnSweep)
+{
+    EventQueue eq;
+    Auditor auditor;
+    int other = 0;
+    eq.addPeriodicCheck(10, [&](Cycle) { ++other; });
+    auditor.schedulePeriodic(eq, 100);
+    auditor.schedulePeriodic(eq, 50);
+    EXPECT_EQ(eq.numPeriodicChecks(), 2u);
+
+    for (Cycle c = 10; c <= 100; c += 10)
+        eq.schedule(c, [] {});
+    eq.run();
+    EXPECT_EQ(other, 10) << "the other subscriber must survive re-arming";
+    EXPECT_EQ(auditor.stats().sweeps, 2u) << "only the 50-cycle sweep runs";
+}
+
 /** An idle queue never sweeps: the hook cannot keep a drained sim alive. */
 TEST(Auditor, NoSweepsWithoutEvents)
 {

@@ -38,6 +38,22 @@ TEST(Gpu, RunIssuesExactlyTheQuota)
     EXPECT_GT(gpu.performance(), 0.0);
 }
 
+TEST(Gpu, RunSegmentsReArmOneAuditSweep)
+{
+    // Every segment re-arms the periodic audit; the re-arm must replace
+    // the previous subscription, not pile up duplicate sweeps.
+    GpuConfig cfg = test::smallConfig();
+    cfg.auditIntervalCycles = 500;
+    Gpu gpu(cfg, streamWorkload());
+    Gpu::RunLimits limits;
+    gpu.runSegment(50, 0, limits);
+    std::size_t after_first = gpu.eventQueue().numPeriodicChecks();
+    EXPECT_EQ(after_first, 1u);
+    gpu.runSegment(50, 0, limits);
+    EXPECT_EQ(gpu.eventQueue().numPeriodicChecks(), after_first);
+    EXPECT_EQ(gpu.instructionsIssued(), 100u);
+}
+
 TEST(Gpu, MaxCyclesCapsTheRun)
 {
     Gpu gpu(test::smallConfig(), streamWorkload());

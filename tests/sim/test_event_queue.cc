@@ -136,16 +136,15 @@ TEST(EventQueue, ResetClearsEverything)
 }
 
 /**
- * Regression: reset() used to leave periodic-check subscriptions (and the
- * legacy single-slot id) behind, so a recycled queue kept firing hooks
- * owned by the previous simulation.
+ * Regression: reset() used to leave periodic-check subscriptions behind,
+ * so a recycled queue kept firing hooks owned by the previous simulation.
  */
 TEST(EventQueue, ResetDropsPeriodicCheckSubscriptions)
 {
     EventQueue eq;
     int stale = 0;
     eq.addPeriodicCheck(1, [&](Cycle) { ++stale; });
-    eq.setPeriodicCheck(1, [&](Cycle) { ++stale; });
+    eq.addPeriodicCheck(1, [&](Cycle) { ++stale; });
     EXPECT_EQ(eq.numPeriodicChecks(), 2u);
 
     eq.reset();
@@ -157,17 +156,17 @@ TEST(EventQueue, ResetDropsPeriodicCheckSubscriptions)
     EXPECT_EQ(stale, 0) << "stale sweep hooks fired after reset()";
 }
 
-TEST(EventQueue, ResetRestartsSweepIdsSoLegacySlotStillReplaces)
+TEST(EventQueue, StaleSweepIdAfterResetRemovesNothing)
 {
+    // Sweep ids are never reused, so a handle that outlived reset()
+    // cannot unsubscribe a hook added afterwards.
     EventQueue eq;
-    eq.setPeriodicCheck(5, [](Cycle) {});
+    std::uint64_t stale = eq.addPeriodicCheck(5, [](Cycle) {});
     eq.reset();
 
-    // After reset the legacy slot must behave like a fresh queue: two
-    // installs leave exactly one subscription.
     int fired = 0;
-    eq.setPeriodicCheck(1, [&](Cycle) { ++fired; });
-    eq.setPeriodicCheck(1, [&](Cycle) { ++fired; });
+    eq.addPeriodicCheck(1, [&](Cycle) { ++fired; });
+    eq.removePeriodicCheck(stale);
     EXPECT_EQ(eq.numPeriodicChecks(), 1u);
 
     for (Cycle c = 1; c <= 4; ++c)

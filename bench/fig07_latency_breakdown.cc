@@ -10,12 +10,11 @@
  * every completed walk is an NDJSON record carrying its queue_delay
  * (creation -> walker pickup) and access_latency (pickup -> fill), so the
  * breakdown is exact even when walks overlap.  The translation lifecycle
- * tracer still runs alongside; its per-phase means must agree with the
- * event-log-derived means within 1% or the harness exits non-zero — the
- * two observers watch the same walks through independent hook paths.
+ * tracer runs alongside for the page-table reads per walk only: its
+ * queue/walk split comes from the same WalkResult records as the event
+ * log, so comparing the two would check a number against itself.
  */
 
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -100,8 +99,6 @@ main()
     struct Slot
     {
         LogPhases log;
-        double tracerQueue = 0.0;
-        double tracerAccess = 0.0;
         double ptReads = 0.0;
     };
     std::vector<Slot> slots(suite.size() * ptws.size());
@@ -129,8 +126,6 @@ main()
                     spec.obs = &obs;
                     RunResult result = run(std::move(spec));
                     slots[slot] = {phasesFromLog(events),
-                                   tracer.queuePhase().mean(),
-                                   tracer.walkPhase().mean(),
                                    tracer.ptReadsPerWalk().mean()};
                     return result;
                 });
@@ -138,31 +133,12 @@ main()
     }
     runner.run();
 
-    // Event-log means must reproduce the tracer's attribution within 1%.
-    int violations = 0;
-    auto check = [&violations](const char *what, const char *bench,
-                               std::uint32_t n, double log_mean,
-                               double tracer_mean) {
-        double ref = std::max(std::abs(tracer_mean), 1.0);
-        if (std::abs(log_mean - tracer_mean) / ref > 0.01) {
-            ++violations;
-            std::fprintf(stderr,
-                         "VALIDATION FAILURE [%s, %u ptws] %s: event log "
-                         "%.2f vs tracer %.2f\n",
-                         bench, n, what, log_mean, tracer_mean);
-        }
-    };
-
     TextTable table({"bench", "PTWs", "queue(cy)", "access(cy)",
                      "total(cy)", "queue%", "PT reads/walk"});
     std::vector<double> queue_shares_at_32;
     for (std::size_t i = 0; i < suite.size(); ++i) {
         for (std::size_t p = 0; p < ptws.size(); ++p) {
             const Slot &s = slots[i * ptws.size() + p];
-            check("queue", suite[i]->abbr.c_str(), ptws[p], s.log.queue,
-                  s.tracerQueue);
-            check("access", suite[i]->abbr.c_str(), ptws[p], s.log.access,
-                  s.tracerAccess);
             double share =
                 s.log.total > 0 ? s.log.queue / s.log.total : 0.0;
             if (ptws[p] == 32)
@@ -178,9 +154,7 @@ main()
     std::printf("%s\n", table.str().c_str());
     std::printf("average queue share at 32 PTWs: %.1f%%\n",
                 100.0 * mean(queue_shares_at_32));
-    std::printf("event-log-vs-tracer validation: %s (%d violations)\n",
-                violations == 0 ? "PASS" : "FAIL", violations);
     std::printf("\npaper: queueing delay is ~95%% of walk latency for "
                 "irregular apps at 32 PTWs\n");
-    return violations == 0 ? 0 : 1;
+    return 0;
 }

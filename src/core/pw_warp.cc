@@ -1,7 +1,6 @@
 #include "core/pw_warp.hh"
 
 #include "check/audit.hh"
-#include "obs/trace.hh"
 #include "prof/hostprof.hh"
 #include "sim/logging.hh"
 
@@ -22,9 +21,11 @@ toString(PwOpcode op)
 
 PwWarp::PwWarp(EventQueue &eq, const AddressSpaceManager &aspaces,
                SoftPwb &buffer, Hooks hooks_in, PwWarpCodeTiming timing_in,
-               std::uint32_t num_lanes, Cycle comm_latency)
+               std::uint32_t num_lanes, Cycle comm_latency,
+               const Probe *probe_in, SmId sm)
     : eventq(eq), spaces(aspaces), pwb(buffer), hooks(hooks_in),
-      timing(timing_in), numLanes(num_lanes), commLatency(comm_latency)
+      timing(timing_in), numLanes(num_lanes), commLatency(comm_latency),
+      probe(probe_in ? *probe_in : Probe::kSilent), smId(sm)
 {
     SW_ASSERT(numLanes > 0 && numLanes <= 32, "PW Warp lanes out of range");
 }
@@ -61,10 +62,9 @@ PwWarp::startBatch()
         lane.id = slot.req.id;
         lane.key = slot.req.key;
         lanes.push_back(lane);
-        SW_TRACE(tracer_, TracePhase::WalkDispatch, eventq.now(), lane.id,
-                 lane.key.vpn, tracerWhere, lane.key.asid);
-        if (hooks.execStart)
-            hooks.execStart(lane.key);
+        probe.emit({.stage = Stage::WalkDispatch, .cycle = eventq.now(),
+                    .key = lane.key, .id = lane.id, .where = smId,
+                    .software = true});
     }
 
     ++stats_.batches;
@@ -110,9 +110,8 @@ PwWarp::levelIteration()
             spaces.tableFor(lanes[lane_idx].key.asid);
         PhysAddr addr = pt.pteAddr(lanes[lane_idx].cursor);
         auto fire = [this, lane_idx, addr]() {
-            SW_TRACE(tracer_, TracePhase::PtRead, eventq.now(),
-                     lanes[lane_idx].id, lanes[lane_idx].key.vpn,
-                     tracerWhere, lanes[lane_idx].key.asid);
+            probe.emit(Stage::PtRead, eventq.now(), lanes[lane_idx].key,
+                       lanes[lane_idx].id, smId);
             hooks.ptAccess(addr, [this, lane_idx]() {
                 Lane &lane = lanes[lane_idx];
                 const PageTableBase &table = spaces.tableFor(lane.key.asid);

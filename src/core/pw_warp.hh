@@ -19,6 +19,7 @@
 
 #include "core/isa.hh"
 #include "core/soft_pwb.hh"
+#include "obs/probe.hh"
 #include "sim/callback.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
@@ -51,11 +52,6 @@ class PwWarp
          * resolves the walk and releases the distributor credit.
          */
         WalkCompleteFn complete;
-        /**
-         * A lane's walk started executing (batch pickup) — the cycle
-         * ledger moves the key's waiters to TransPwExec.  Optional.
-         */
-        Callback<void(const TranslationKey &)> execStart;
     };
 
     struct Stats
@@ -71,9 +67,13 @@ class PwWarp
         LatencyStat batchLatency;
     };
 
+    /**
+     * @param probe lifecycle probe (null reports to nobody)
+     * @param sm the SM this warp runs on, named in its probe records
+     */
     PwWarp(EventQueue &eq, const AddressSpaceManager &spaces, SoftPwb &pwb,
            Hooks hooks, PwWarpCodeTiming timing, std::uint32_t lanes,
-           Cycle comm_latency);
+           Cycle comm_latency, const Probe *probe = nullptr, SmId sm = 0);
 
     PwWarp(const PwWarp &) = delete;
     PwWarp &operator=(const PwWarp &) = delete;
@@ -91,17 +91,6 @@ class PwWarp
     std::uint32_t fillsInTransit() const { return fillsInTransit_; }
 
     void resetStats() { stats_ = Stats{}; }
-
-    /**
-     * Install a TranslationTracer; @p where identifies this warp's SM in
-     * the emitted stamps (the warp itself doesn't know its SM id).
-     */
-    void
-    setTracer(TranslationTracer *tracer, std::uint32_t where)
-    {
-        tracer_ = tracer;
-        tracerWhere = where;
-    }
 
     /** Register the warp's counters with the unified stat registry. */
     void registerStats(StatGroup group);
@@ -138,14 +127,14 @@ class PwWarp
     PwWarpCodeTiming timing;
     std::uint32_t numLanes;
     Cycle commLatency;
+    const Probe &probe;
+    SmId smId;
 
     bool running = false;
     std::vector<Lane> lanes;
     std::uint32_t pendingLoads = 0;
     std::uint32_t fillsInTransit_ = 0;
     Cycle batchStart = 0;
-    TranslationTracer *tracer_ = nullptr;
-    std::uint32_t tracerWhere = 0;
 
     Stats stats_;
 };

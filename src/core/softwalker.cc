@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "check/audit.hh"
-#include "obs/cycle_ledger.hh"
 #include "obs/sampler.hh"
 #include "sim/logging.hh"
 
@@ -12,20 +11,21 @@ namespace sw {
 SoftWalkerBackend::SoftWalkerBackend(Gpu &gpu_ref, const GpuConfig &config)
     : gpu(gpu_ref), cfg(config),
       hybrid(config.mode == TranslationMode::Hybrid),
-      engineComplete(gpu_ref.engine().completionFn())
+      engineComplete(gpu_ref.engine().completionFn()),
+      probe(gpu_ref.engine().probe())
 {
     SW_ASSERT(cfg.mode == TranslationMode::SoftWalker ||
               cfg.mode == TranslationMode::Hybrid,
               "SoftWalkerBackend built for a hardware mode");
 
-    StallProbeFn probe;
+    StallProbeFn stall_probe;
     if (cfg.distributorPolicy == DistributorPolicy::StallAware) {
-        probe = [this](SmId sm) { return gpu.sm(sm).stalledWarps(); };
+        stall_probe = [this](SmId sm) { return gpu.sm(sm).stalledWarps(); };
     }
     bool pinned = cfg.migPartitioning && cfg.numTenants > 1;
     distributor_ = std::make_unique<RequestDistributor>(
         cfg.numSms, cfg.softPwbEntries, cfg.distributorPolicy,
-        cfg.rngSeed ^ 0x5077a1cebeefULL, std::move(probe),
+        cfg.rngSeed ^ 0x5077a1cebeefULL, std::move(stall_probe),
         pinned ? cfg.numTenants : 1);
     waiting.resize(cfg.numTenants);
 
@@ -51,15 +51,9 @@ SoftWalkerBackend::SoftWalkerBackend(Gpu &gpu_ref, const GpuConfig &config)
         hooks.complete = [this, sm](const WalkResult &result) {
             onSoftwareComplete(sm, result);
         };
-        hooks.execStart = [this](const TranslationKey &key) {
-            if (ledger_) {
-                ledger_->transTrackStage(key, LedgerCategory::TransPwExec,
-                                         gpu.eventQueue().now());
-            }
-        };
         controllers.push_back(std::make_unique<SoftWalkerController>(
             eq, sm, cfg.softPwbEntries, engine.spaces(), hooks,
-            timing, cfg.pwWarpThreads, comm));
+            timing, cfg.pwWarpThreads, comm, &probe));
     }
 
     if (hybrid) {
@@ -78,7 +72,8 @@ SoftWalkerBackend::SoftWalkerBackend(Gpu &gpu_ref, const GpuConfig &config)
                 SW_ASSERT(inFlightCount > 0, "hybrid in-flight underflow");
                 --inFlightCount;
                 engineComplete(result);
-            });
+            },
+            &probe);
     }
 }
 
@@ -135,8 +130,8 @@ void
 SoftWalkerBackend::sendToSm(SmId target, WalkRequest req)
 {
     ++stats_.toSoftware;
-    if (ledger_)
-        ledger_->pwWalkHosted(target, req.key.asid);
+    probe.emit(Stage::WalkHosted, gpu.eventQueue().now(), req.key, req.id,
+               target);
     // L2 TLB -> SM interconnect hop (modeled as the L2 TLB latency, §6.1).
     ++commInTransit;
     // WalkRequest outgrew the inline event budget when it gained the
@@ -236,23 +231,6 @@ SoftWalkerBackend::drainQueue()
         sendToSm(target, std::move(req));
         barren = 0;
     }
-}
-
-void
-SoftWalkerBackend::setTracer(TranslationTracer *tracer)
-{
-    for (auto &controller : controllers)
-        controller->setTracer(tracer);
-    if (hwPool)
-        hwPool->setTracer(tracer);
-}
-
-void
-SoftWalkerBackend::setLedger(CycleLedger *ledger)
-{
-    ledger_ = ledger;
-    if (hwPool)
-        hwPool->setLedger(ledger);
 }
 
 void

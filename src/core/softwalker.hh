@@ -55,12 +55,6 @@ class SoftWalkerBackend : public WalkBackend
      */
     void registerAudits(Auditor &auditor) override;
 
-    /** Forward the tracer to every PW Warp (and the hybrid hw pool). */
-    void setTracer(TranslationTracer *tracer) override;
-
-    /** Install the cycle ledger (PW-exec stage + hosting attribution). */
-    void setLedger(CycleLedger *ledger) override;
-
     /** Register backend, distributor, per-SM controller + warp counters. */
     void registerStats(StatGroup group) override;
 
@@ -132,7 +126,8 @@ class SoftWalkerBackend : public WalkBackend
     std::uint64_t inFlightCount = 0;
     /** Dispatched requests still crossing the L2 TLB -> SM interconnect. */
     std::uint64_t commInTransit = 0;
-    CycleLedger *ledger_ = nullptr;
+    /** The engine's lifecycle probe (WalkHosted; shared by the warps). */
+    const Probe &probe;
 
     Stats stats_;
 };

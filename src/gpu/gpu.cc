@@ -84,7 +84,7 @@ Gpu::Gpu(GpuConfig config, std::vector<std::unique_ptr<Workload>> wls)
             [this](PhysAddr addr, MemDoneFn done) {
                 engine_->ptAccess(addr, done);
             },
-            engine_->completionFn()));
+            engine_->completionFn(), &engine_->probe()));
     }
 
     registerGpuAudits();
@@ -289,10 +289,8 @@ Gpu::restoreState(CkptReader &r)
 void
 Gpu::installObservability(const Observability &obs)
 {
-    if (obs.tracer) {
+    if (obs.tracer)
         tracer_ = obs.tracer;
-        engine_->setTracer(obs.tracer);
-    }
     if (obs.ledger) {
         ledger_ = obs.ledger;
         if (!ledger_->attached()) {
@@ -303,7 +301,6 @@ Gpu::installObservability(const Observability &obs)
         }
         for (auto &sm : sms)
             sm->ledger = ledger_;
-        engine_->setLedger(ledger_);
         // Top-down conservation: every SM cycle lands in exactly one
         // category.  auditConservation() is const — the audit only reads.
         auditor_.registerAudit(
@@ -314,10 +311,9 @@ Gpu::installObservability(const Observability &obs)
                     ctx.fail(err);
             });
     }
-    if (obs.events) {
+    if (obs.events)
         events_ = obs.events;
-        engine_->setEventLog(obs.events);
-    }
+    engine_->probe().attach(tracer_, ledger_, events_);
     // After the tracer/ledger: registerStats() exposes "trace.*" and
     // "ledger.*" only when the corresponding observer is installed.
     if (obs.registry)

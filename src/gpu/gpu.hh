@@ -158,20 +158,12 @@ class Gpu
     /** Install a per-instruction trace hook on every SM (Fig 3). */
     void setTraceHook(TraceHookFn hook);
 
-    /** The attached cycle ledger (nullptr without observability). */
-    CycleLedger *cycleLedger() { return ledger_; }
-    const CycleLedger *cycleLedger() const { return ledger_; }
-
-    /** The attached structured event log (nullptr without observability). */
-    EventLog *eventLog() { return events_; }
-    const EventLog *eventLog() const { return events_; }
-
     /**
      * Attach the observability bundle: registers every component with the
-     * stat registry, installs the lifecycle tracer on the translation
-     * path, and arms the time-series sampler's periodic sweep.  Call
-     * AFTER the walk backend is installed so backend stats and gauges
-     * register too.  A GPU run with no observability (or a null bundle)
+     * stat registry, points the translation engine's lifecycle probe at
+     * the tracer / ledger / event log, and arms the time-series sampler's
+     * periodic sweep.  Call AFTER the walk backend is installed so backend
+     * stats and gauges register too.  A GPU run with no observability (or a null bundle)
      * is bit-identical to one that never called this.
      */
     void installObservability(const Observability &obs);

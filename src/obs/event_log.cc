@@ -8,6 +8,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "vm/walk.hh"
+
 namespace sw {
 
 EventLog::EventLog()
@@ -18,26 +20,18 @@ EventLog::EventLog()
 }
 
 void
-EventLog::walk(Cycle now, std::uint64_t id, const TranslationKey &key,
-               bool software, Cycle queueDelay, Cycle accessLatency)
+EventLog::walk(Cycle now, const WalkResult &result)
 {
     std::ostringstream line;
-    line << "{\"type\":\"walk\",\"cycle\":" << now << ",\"id\":" << id
-         << ",\"asid\":" << key.asid << ",\"vpn\":" << key.vpn
-         << ",\"sw\":" << (software ? "true" : "false")
-         << ",\"queue_delay\":" << queueDelay
-         << ",\"access_latency\":" << accessLatency << "}";
-    lines_.push_back(line.str());
-}
-
-void
-EventLog::fault(Cycle now, std::uint64_t id, const TranslationKey &key,
-                bool software)
-{
-    std::ostringstream line;
-    line << "{\"type\":\"fault\",\"cycle\":" << now << ",\"id\":" << id
-         << ",\"asid\":" << key.asid << ",\"vpn\":" << key.vpn
-         << ",\"sw\":" << (software ? "true" : "false") << "}";
+    line << "{\"type\":\"" << (result.fault ? "fault" : "walk")
+         << "\",\"cycle\":" << now << ",\"id\":" << result.id
+         << ",\"asid\":" << result.key.asid << ",\"vpn\":" << result.key.vpn
+         << ",\"sw\":" << (result.software ? "true" : "false");
+    if (!result.fault) {
+        line << ",\"queue_delay\":" << result.queueDelay
+             << ",\"access_latency\":" << result.accessLatency;
+    }
+    line << "}";
     lines_.push_back(line.str());
 }
 

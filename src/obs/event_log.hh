@@ -19,16 +19,16 @@
 #define SW_OBS_EVENT_LOG_HH
 
 #include <array>
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "obs/cycle_ledger.hh"
 #include "sim/types.hh"
-#include "vm/address.hh"
 
 namespace sw {
+
+struct WalkResult;
 
 /** Schema tag written in the leading meta record and checked by CI. */
 inline constexpr const char *kEventLogSchema = "softwalker.events/1";
@@ -43,21 +43,16 @@ class EventLog
     EventLog &operator=(const EventLog &) = delete;
 
     /**
-     * A walk completed and its translation was delivered:
+     * A walk finished.  Delivered translations carry the paper's latency
+     * split:
      * {"type":"walk","cycle":..,"id":..,"asid":..,"vpn":..,"sw":..,
      *  "queue_delay":..,"access_latency":..}
+     * and a walk that hit a page fault and entered the fault buffer is
+     * {"type":"fault","cycle":..,"id":..,"asid":..,"vpn":..,"sw":..}.
      * `sw` is true when a PW-warp (software) walked, false for the
      * hardware PTW path.
      */
-    void walk(Cycle now, std::uint64_t id, const TranslationKey &key,
-              bool software, Cycle queueDelay, Cycle accessLatency);
-
-    /**
-     * A walk hit a page fault and entered the fault buffer:
-     * {"type":"fault","cycle":..,"id":..,"asid":..,"vpn":..,"sw":..}
-     */
-    void fault(Cycle now, std::uint64_t id, const TranslationKey &key,
-               bool software);
+    void walk(Cycle now, const WalkResult &result);
 
     /**
      * A time-series sample fired; @p deltas are the per-category ledger

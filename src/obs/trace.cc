@@ -4,30 +4,9 @@
 
 #include "prof/hostprof.hh"
 #include "sim/logging.hh"
+#include "vm/walk.hh"
 
 namespace sw {
-
-const char *
-toString(TracePhase phase)
-{
-    switch (phase) {
-      case TracePhase::L1Miss:        return "l1_miss";
-      case TracePhase::L2Lookup:      return "l2_lookup";
-      case TracePhase::L2Hit:         return "l2_hit";
-      case TracePhase::L2Miss:        return "l2_miss";
-      case TracePhase::MshrAlloc:     return "mshr_alloc";
-      case TracePhase::InTlbAlloc:    return "intlb_alloc";
-      case TracePhase::MshrFail:      return "mshr_fail";
-      case TracePhase::WalkCreated:   return "walk_created";
-      case TracePhase::BackendSubmit: return "backend_submit";
-      case TracePhase::WalkDispatch:  return "walk_dispatch";
-      case TracePhase::PtRead:        return "pt_read";
-      case TracePhase::WalkFill:      return "walk_fill";
-      case TracePhase::Fault:         return "fault";
-      case TracePhase::Wakeup:        return "wakeup";
-    }
-    return "?";
-}
 
 TranslationTracer::TranslationTracer(std::size_t capacity)
     : capacity_(capacity)
@@ -38,11 +17,10 @@ TranslationTracer::TranslationTracer(std::size_t capacity)
 }
 
 void
-TranslationTracer::record(TracePhase phase, Cycle cycle, std::uint64_t id,
-                          Vpn vpn, std::uint32_t where, Asid asid)
+TranslationTracer::record(const ProbeRecord &r)
 {
     ++stampsRecorded_;
-    Stamp stamp{cycle, id, vpn, where, phase, asid};
+    Stamp stamp{r.cycle, r.id, r.key.vpn, r.where, r.stage, r.key.asid};
     if (ring.size() < capacity_) {
         ring.push_back(stamp);
     } else {
@@ -51,47 +29,46 @@ TranslationTracer::record(TracePhase phase, Cycle cycle, std::uint64_t id,
         ++stampsDropped_;
     }
 
-    // Lifecycle reconstruction: only phases keyed by a walk id take part.
-    if (id == 0)
+    if (r.stage == Stage::WalkFill && r.result) {
+        queuePhase_.add(r.result->queueDelay);
+        walkPhase_.add(r.result->accessLatency);
+        totalPhase_.add(r.result->queueDelay + r.result->accessLatency);
+    }
+
+    // Span reconstruction: only stages keyed by a walk id take part.
+    if (r.id == 0)
         return;
-    switch (phase) {
-      case TracePhase::WalkCreated: {
+    switch (r.stage) {
+      case Stage::WalkCreated: {
         WalkSpan span;
-        span.id = id;
-        span.vpn = vpn;
-        span.asid = asid;
-        span.created = cycle;
-        live[id] = span;
+        span.id = r.id;
+        span.vpn = r.key.vpn;
+        span.asid = r.key.asid;
+        span.created = r.cycle;
+        live[r.id] = span;
         break;
       }
-      case TracePhase::WalkDispatch: {
-        auto it = live.find(id);
+      case Stage::WalkDispatch: {
+        auto it = live.find(r.id);
         if (it != live.end() && it->second.dispatched == 0) {
-            it->second.dispatched = cycle;
-            it->second.where = where;
+            it->second.dispatched = r.cycle;
+            it->second.where = r.where;
         }
         break;
       }
-      case TracePhase::PtRead: {
-        auto it = live.find(id);
+      case Stage::PtRead: {
+        auto it = live.find(r.id);
         if (it != live.end())
             ++it->second.ptReads;
         break;
       }
-      case TracePhase::WalkFill: {
-        auto it = live.find(id);
+      case Stage::WalkFill: {
+        auto it = live.find(r.id);
         if (it == live.end())
             break;
         WalkSpan span = it->second;
         live.erase(it);
-        span.filled = cycle;
-        // Faulted walks are replayed without a fresh WalkCreated; a
-        // replay that never went through dispatch attributes everything
-        // to the walk phase.
-        Cycle dispatch = span.dispatched ? span.dispatched : span.created;
-        queuePhase_.add(dispatch - span.created);
-        walkPhase_.add(span.filled - dispatch);
-        totalPhase_.add(span.filled - span.created);
+        span.filled = r.cycle;
         ptReadsPerWalk_.add(span.ptReads);
         ++spansCompleted_;
         if (spanRing.size() < capacity_) {
@@ -103,10 +80,10 @@ TranslationTracer::record(TracePhase phase, Cycle cycle, std::uint64_t id,
         }
         break;
       }
-      case TracePhase::Fault:
+      case Stage::Fault:
         // The replay arrives as a fresh WalkCreated with a new id; drop
         // the faulted span so the live map doesn't accumulate them.
-        live.erase(id);
+        live.erase(r.id);
         break;
       default:
         break;
@@ -157,23 +134,21 @@ TranslationTracer::writeTraceJson(std::ostream &out) const
     };
 
     for (const WalkSpan &span : spans()) {
-        unsigned long long tid =
-            span.where == kNoWhere ? 0ull
-                                   : static_cast<unsigned long long>(
-                                         span.where);
+        unsigned long long tid = span.where == ProbeRecord::kNoWhere
+            ? 0ull
+            : static_cast<unsigned long long>(span.where);
+        // A span never dispatched draws its whole life as the walk phase.
+        Cycle dispatch = span.dispatched ? span.dispatched : span.created;
         sep();
         out << strprintf(
             "{\"name\":\"queue\",\"cat\":\"walk\",\"ph\":\"X\","
             "\"ts\":%llu,\"dur\":%llu,\"pid\":0,\"tid\":%llu,"
             "\"args\":{\"id\":%llu,\"vpn\":%llu,\"asid\":%u}}",
             static_cast<unsigned long long>(span.created),
-            static_cast<unsigned long long>(
-                (span.dispatched ? span.dispatched : span.created) -
-                span.created),
+            static_cast<unsigned long long>(dispatch - span.created),
             tid, static_cast<unsigned long long>(span.id),
             static_cast<unsigned long long>(span.vpn), span.asid);
         sep();
-        Cycle dispatch = span.dispatched ? span.dispatched : span.created;
         out << strprintf(
             "{\"name\":\"walk\",\"cat\":\"walk\",\"ph\":\"X\","
             "\"ts\":%llu,\"dur\":%llu,\"pid\":0,\"tid\":%llu,"
@@ -194,7 +169,7 @@ TranslationTracer::writeTraceJson(std::ostream &out) const
             "\"args\":{\"id\":%llu,\"vpn\":%llu,\"asid\":%u}}",
             toString(stamp.phase),
             static_cast<unsigned long long>(stamp.cycle),
-            stamp.where == kNoWhere
+            stamp.where == ProbeRecord::kNoWhere
                 ? 0ull
                 : static_cast<unsigned long long>(stamp.where),
             static_cast<unsigned long long>(stamp.id),

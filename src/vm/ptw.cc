@@ -4,9 +4,7 @@
 
 #include "check/audit.hh"
 #include "ckpt/ckpt_io.hh"
-#include "obs/cycle_ledger.hh"
 #include "obs/sampler.hh"
-#include "obs/trace.hh"
 #include "prof/hostprof.hh"
 #include "sim/logging.hh"
 
@@ -15,9 +13,11 @@ namespace sw {
 HardwarePtwPool::HardwarePtwPool(EventQueue &eq, Params params,
                                  const AddressSpaceManager &aspaces,
                                  PageWalkCache &cache, PtAccessFn pt_access,
-                                 WalkCompleteFn on_complete)
+                                 WalkCompleteFn on_complete,
+                                 const Probe *probe_in)
     : eventq(eq), params_(params), spaces(aspaces), pwc(cache),
-      ptAccess(pt_access), onComplete(on_complete)
+      ptAccess(pt_access), onComplete(on_complete),
+      probe(probe_in ? *probe_in : Probe::kSilent)
 {
     SW_ASSERT(params_.numWalkers > 0, "need at least one walker");
     SW_ASSERT(params_.pwbPorts > 0, "need at least one PWB port");
@@ -141,24 +141,12 @@ HardwarePtwPool::dispatch()
             w.started = eventq.now();
             w.cursor = w.primary.cursor;
             stats_.queueDelay.add(w.started - w.primary.created);
-            SW_TRACE(tracer_, TracePhase::WalkDispatch, w.started,
-                     w.primary.id, w.primary.key.vpn, std::uint32_t(slot),
-                     w.primary.key.asid);
-            if (ledger_) {
-                ledger_->transTrackStage(w.primary.key,
-                                         LedgerCategory::TransPtwExec,
-                                         w.started);
-            }
+            probe.emit(Stage::WalkDispatch, w.started, w.primary.key,
+                       w.primary.id, slot);
             for (const auto &rider : w.coalesced) {
                 stats_.queueDelay.add(w.started - rider.created);
-                SW_TRACE(tracer_, TracePhase::WalkDispatch, w.started,
-                         rider.id, rider.key.vpn, std::uint32_t(slot),
-                         rider.key.asid);
-                if (ledger_) {
-                    ledger_->transTrackStage(rider.key,
-                                             LedgerCategory::TransPtwExec,
-                                             w.started);
-                }
+                probe.emit(Stage::WalkDispatch, w.started, rider.key,
+                           rider.id, slot);
             }
             walkStep(slot);
         });
@@ -179,9 +167,8 @@ HardwarePtwPool::walkStep(std::uint64_t slot)
     const PageTableBase &pt = spaces.tableFor(walk.primary.key.asid);
     PhysAddr addr = pt.pteAddr(walk.cursor);
     ++stats_.memReads;
-    SW_TRACE(tracer_, TracePhase::PtRead, eventq.now(), walk.primary.id,
-             walk.primary.key.vpn, std::uint32_t(slot),
-             walk.primary.key.asid);
+    probe.emit(Stage::PtRead, eventq.now(), walk.primary.key,
+               walk.primary.id, std::uint32_t(slot));
     ptAccess(addr, [this, slot]() {
         ActiveWalk &w = active[slot];
         const PageTableBase &table = spaces.tableFor(w.primary.key.asid);

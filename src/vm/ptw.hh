@@ -13,6 +13,7 @@
 #include <deque>
 #include <vector>
 
+#include "obs/probe.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "vm/address_space.hh"
@@ -55,10 +56,13 @@ class HardwarePtwPool : public WalkBackend
      * @param pwc shared page walk cache (filled as walks descend)
      * @param pt_access page-table memory read issuer
      * @param on_complete walk-completion sink (the translation engine)
+     * @param probe lifecycle probe for WalkDispatch / PtRead (the
+     *        engine's); null reports to nobody
      */
     HardwarePtwPool(EventQueue &eq, Params params,
                     const AddressSpaceManager &spaces, PageWalkCache &pwc,
-                    PtAccessFn pt_access, WalkCompleteFn on_complete);
+                    PtAccessFn pt_access, WalkCompleteFn on_complete,
+                    const Probe *probe = nullptr);
 
     void submit(WalkRequest req) override;
     std::uint64_t inFlight() const override { return inFlightCount; }
@@ -69,8 +73,6 @@ class HardwarePtwPool : public WalkBackend
     /** PTW slot lifecycle + in-flight conservation audits. */
     void registerAudits(Auditor &auditor) override;
 
-    void setTracer(TranslationTracer *tracer) override { tracer_ = tracer; }
-    void setLedger(CycleLedger *ledger) override { ledger_ = ledger; }
     void registerStats(StatGroup group) override;
     void registerGauges(TimeSeriesSampler &sampler) override;
 
@@ -120,6 +122,7 @@ class HardwarePtwPool : public WalkBackend
     PageWalkCache &pwc;
     PtAccessFn ptAccess;
     WalkCompleteFn onComplete;
+    const Probe &probe;
 
     std::deque<WalkRequest> pwb;        ///< bounded buffer
     std::deque<WalkRequest> overflow;   ///< spill past PWB capacity
@@ -130,8 +133,6 @@ class HardwarePtwPool : public WalkBackend
     std::uint64_t inFlightCount = 0;
     /** Walks accepted but still crossing the PWB enqueue port. */
     std::uint64_t enqInTransit = 0;
-    TranslationTracer *tracer_ = nullptr;
-    CycleLedger *ledger_ = nullptr;
     Stats stats_;
 };
 

@@ -4,8 +4,6 @@
 
 #include "check/audit.hh"
 #include "ckpt/ckpt_io.hh"
-#include "obs/cycle_ledger.hh"
-#include "obs/event_log.hh"
 #include "prof/hostprof.hh"
 #include "sim/logging.hh"
 
@@ -105,19 +103,12 @@ TranslationEngine::l1Lookup(SmId sm, TranslationKey key, TransDoneFn done,
         ++stats_.l1Hits;
         stats_.translationLatency.add(eventq.now() - start);
         tenantStats_[key.asid].translationLatency.add(eventq.now() - start);
-        // A parked-then-retried request may hit a freshly filled L1; the
-        // ledger entry opened at its original miss ends here (no-op for a
-        // first-try hit).
-        if (ledger_)
-            ledger_->transLeave(sm, key, eventq.now());
+        probe_.emit(Stage::L1Hit, eventq.now(), key, 0, sm);
         done(pfn);
         return;
     }
     ++stats_.l1Misses;
-    if (ledger_)
-        ledger_->transEnter(sm, key, eventq.now());
-    SW_TRACE(tracer_, TracePhase::L1Miss, eventq.now(), 0, key.vpn, sm,
-             key.asid);
+    probe_.emit(Stage::L1Miss, eventq.now(), key, 0, sm);
 
     L1MshrFile &mshrs = l1Mshrs[sm];
     if (std::vector<L1Waiter> *waiters = mshrs.find(key)) {
@@ -175,29 +166,23 @@ TranslationEngine::l2Access(SmId sm, TranslationKey key)
 {
     SW_PROF_SCOPE(prof::Zone::TlbLookup);
     ++stats_.l2Accesses;
-    SW_TRACE(tracer_, TracePhase::L2Lookup, eventq.now(), 0, key.vpn, sm,
-             key.asid);
+    probe_.emit(Stage::L2Lookup, eventq.now(), key, 0, sm);
     Pfn pfn = 0;
     if (l2Lookup(key, pfn)) {
         ++stats_.l2Hits;
-        SW_TRACE(tracer_, TracePhase::L2Hit, eventq.now(), 0, key.vpn, sm,
-                 key.asid);
+        probe_.emit(Stage::L2Hit, eventq.now(), key, 0, sm);
         resolveL1(sm, key, pfn);
         return;
     }
     ++stats_.l2Misses;
     ++tenantStats_[key.asid].l2Misses;
-    SW_TRACE(tracer_, TracePhase::L2Miss, eventq.now(), 0, key.vpn, sm,
-             key.asid);
+    probe_.emit(Stage::L2Miss, eventq.now(), key, 0, sm);
 
     if (!tryHandleL2Miss(sm, key, eventq.now())) {
         // "MSHR failure" (§4.5): the L2 TLB cannot reserve the request.
         // The requester parks until a walk completion frees capacity.
         ++stats_.l2MshrFailures;
-        SW_TRACE(tracer_, TracePhase::MshrFail, eventq.now(), 0, key.vpn,
-                 sm, key.asid);
-        if (ledger_)
-            ledger_->transPark(sm, key, eventq.now());
+        probe_.emit(Stage::MshrFail, eventq.now(), key, 0, sm);
         l2WaitQueue.push_back({sm, key, eventq.now()});
     }
 }
@@ -210,8 +195,7 @@ TranslationEngine::tryHandleL2Miss(SmId sm, TranslationKey key,
         if (idealMshrs || track->waiterSms.size() <= cfg.l2TlbMergesPerMshr) {
             ++stats_.l2MshrMerges;
             track->waiterSms.push_back(sm);
-            if (ledger_)
-                ledger_->transJoin(sm, key, eventq.now());
+            probe_.emit(Stage::L2Merge, eventq.now(), key, 0, sm);
             return true;
         }
         return false;
@@ -227,14 +211,10 @@ TranslationEngine::tryHandleL2Miss(SmId sm, TranslationKey key,
         stats_.regularMshrPeak =
             std::max<std::uint64_t>(stats_.regularMshrPeak,
                                     regularMshrInUse);
-        SW_TRACE(tracer_, TracePhase::MshrAlloc, eventq.now(), 0, key.vpn,
-                 sm, key.asid);
     } else if (!subL2 && cfg.inTlbMshrMax > 0 &&
                l2Array.pendingCount() < cfg.inTlbMshrMax &&
                l2Array.allocPending(key)) {
         in_tlb_slot = true;
-        SW_TRACE(tracer_, TracePhase::InTlbAlloc, eventq.now(), 0, key.vpn,
-                 sm, key.asid);
         ++stats_.inTlbMshrAllocs;
         stats_.inTlbMshrPeak =
             std::max<std::uint64_t>(stats_.inTlbMshrPeak,
@@ -251,14 +231,8 @@ TranslationEngine::tryHandleL2Miss(SmId sm, TranslationKey key,
     L2Track &track = outstanding.insert(key);
     track.inTlbSlot = in_tlb_slot;
     track.waiterSms.push_back(sm);
-    if (ledger_) {
-        ledger_->transTrackNew(key,
-                               in_tlb_slot
-                                   ? LedgerCategory::TransInTlbMshr
-                                   : LedgerCategory::TransWalkDispatch,
-                               eventq.now());
-        ledger_->transJoin(sm, key, eventq.now());
-    }
+    probe_.emit(in_tlb_slot ? Stage::InTlbAlloc : Stage::MshrAlloc,
+                eventq.now(), key, 0, sm);
     createWalk(key, arrival);
     return true;
 }
@@ -305,10 +279,8 @@ TranslationEngine::createWalk(TranslationKey key, Cycle created)
         } else {
             req.cursor = pt.startWalk(key.vpn);
         }
-        SW_TRACE(tracer_, TracePhase::WalkCreated, created, req.id, key.vpn,
-                 TranslationTracer::kNoWhere, key.asid);
-        SW_TRACE(tracer_, TracePhase::BackendSubmit, eventq.now(), req.id,
-                 key.vpn, TranslationTracer::kNoWhere, key.asid);
+        probe_.emit(Stage::WalkCreated, created, key, req.id);
+        probe_.emit(Stage::BackendSubmit, eventq.now(), key, req.id);
         walkBackend->submit(std::move(req));
     };
     static_assert(EventFn::fitsInline<decltype(fire)>(),
@@ -322,17 +294,8 @@ TranslationEngine::onWalkComplete(const WalkResult &result)
     SW_PROF_SCOPE(prof::Zone::TlbLookup);
     if (result.fault) {
         ++stats_.faults;
-        SW_TRACE(tracer_, TracePhase::Fault, eventq.now(), result.id,
-                 result.key.vpn, TranslationTracer::kNoWhere,
-                 result.key.asid);
-        if (ledger_) {
-            ledger_->transTrackStage(result.key, LedgerCategory::TransFault,
-                                     eventq.now());
-        }
-        if (eventLog_) {
-            eventLog_->fault(eventq.now(), result.id, result.key,
-                             result.software);
-        }
+        probe_.emit({.stage = Stage::Fault, .cycle = eventq.now(),
+                     .key = result.key, .id = result.id, .result = &result});
         faults_.record(result.key, 0, eventq.now());
         // UVM-style handling: the driver maps the page, then the walk is
         // replayed from scratch (§5.5).
@@ -341,14 +304,8 @@ TranslationEngine::onWalkComplete(const WalkResult &result)
             const L2Track *track = outstanding.find(key);
             SW_ASSERT(track != nullptr,
                       "fault replay without tracking state");
-            if (ledger_) {
-                ledger_->transTrackStage(
-                    key,
-                    track->inTlbSlot
-                        ? LedgerCategory::TransInTlbMshr
-                        : LedgerCategory::TransWalkDispatch,
-                    eventq.now());
-            }
+            probe_.emit({.stage = Stage::FaultReplay, .cycle = eventq.now(),
+                         .key = key, .inTlb = track->inTlbSlot});
             createWalk(key, eventq.now());
             --stats_.walksCreated;   // replay, not a new demand walk
         });
@@ -361,12 +318,6 @@ TranslationEngine::onWalkComplete(const WalkResult &result)
     SW_ASSERT(slot != L2TrackFile::kNoSlot,
               "walk completion without tracker");
     const L2Track &track = outstanding.at(slot);
-    if (ledger_)
-        ledger_->transTrackDone(result.key, eventq.now());
-    if (eventLog_) {
-        eventLog_->walk(eventq.now(), result.id, result.key, result.software,
-                        result.queueDelay, result.accessLatency);
-    }
 
     if (track.inTlbSlot) {
         l2Array.clearPending(result.key);
@@ -378,8 +329,8 @@ TranslationEngine::onWalkComplete(const WalkResult &result)
         --regularMshrInUse;
     }
     l2Fill(result.key, result.pfn);
-    SW_TRACE(tracer_, TracePhase::WalkFill, eventq.now(), result.id,
-             result.key.vpn, TranslationTracer::kNoWhere, result.key.asid);
+    probe_.emit({.stage = Stage::WalkFill, .cycle = eventq.now(),
+                 .key = result.key, .id = result.id, .result = &result});
 
     ++stats_.walksCompleted;
     stats_.walkQueueDelay.add(result.queueDelay);
@@ -403,9 +354,7 @@ TranslationEngine::resolveL1(SmId sm, TranslationKey key, Pfn pfn)
     std::uint32_t slot = mshrs.take(key);
     SW_ASSERT(slot != L1MshrFile::kNoSlot, "L1 resolve without an MSHR");
     Cycle now = eventq.now();
-    if (ledger_)
-        ledger_->transLeave(sm, key, now);
-    SW_TRACE(tracer_, TracePhase::Wakeup, now, 0, key.vpn, sm, key.asid);
+    probe_.emit(Stage::Wakeup, now, key, 0, sm);
     for (const L1Waiter &waiter : mshrs.at(slot)) {
         stats_.translationLatency.add(now - waiter.start);
         tenantStats_[key.asid].translationLatency.add(now - waiter.start);
@@ -584,22 +533,6 @@ TranslationEngine::resetStats()
     pwcCache.resetStats();
     if (walkBackend)
         walkBackend->resetStats();
-}
-
-void
-TranslationEngine::setTracer(TranslationTracer *tracer)
-{
-    tracer_ = tracer;
-    if (walkBackend)
-        walkBackend->setTracer(tracer);
-}
-
-void
-TranslationEngine::setLedger(CycleLedger *ledger)
-{
-    ledger_ = ledger;
-    if (walkBackend)
-        walkBackend->setLedger(ledger);
 }
 
 void

@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "mem/memory_system.hh"
-#include "obs/trace.hh"
+#include "obs/probe.hh"
 #include "sim/callback.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
@@ -41,8 +41,6 @@
 namespace sw {
 
 class Auditor;
-class CycleLedger;
-class EventLog;
 
 /** Delivered with the PFN when a translation resolves. */
 using TransDoneFn = Callback<void(Pfn)>;
@@ -202,29 +200,10 @@ class TranslationEngine
     void registerStats(StatGroup root);
 
     /**
-     * Install a TranslationTracer (nullptr detaches).  Forwarded to the
-     * walk backend; stamps are disabled while no tracer is installed.
+     * The lifecycle probe (obs/probe.hh).  Its address is stable, so
+     * backends keep it from construction; the Gpu installs its consumers.
      */
-    void setTracer(TranslationTracer *tracer);
-    TranslationTracer *tracer() const { return tracer_; }
-
-    /**
-     * Install a CycleLedger (nullptr detaches).  Forwarded to the walk
-     * backend; the engine then reports every stage transition of every
-     * outstanding translation (L1 miss, L2 park, MSHR/dispatch, fault,
-     * wakeup) so stalled SM cycles are attributed to the right lifecycle
-     * stage.  Pure observer: no events are scheduled on its behalf.
-     */
-    void setLedger(CycleLedger *ledger);
-    CycleLedger *ledger() const { return ledger_; }
-
-    /**
-     * Install an EventLog (nullptr detaches): one NDJSON record per
-     * completed walk and per page fault, tagged with the walking backend
-     * (software vs. hardware) and the paper's latency split.
-     */
-    void setEventLog(EventLog *events) { eventLog_ = events; }
-    EventLog *eventLog() const { return eventLog_; }
+    Probe &probe() { return probe_; }
 
     /**
      * Serialise the full translation path (L1/L2 TLBs, PWC, fault buffer,
@@ -347,12 +326,11 @@ class TranslationEngine
 
     PageWalkCache pwcCache;
     FaultBuffer faults_;
+    /** Declared before the backend, which keeps a reference to it. */
+    Probe probe_;
     std::unique_ptr<WalkBackend> walkBackend;
     std::uint64_t nextWalkId = 1;
     bool mapOnDemand = true;
-    TranslationTracer *tracer_ = nullptr;
-    CycleLedger *ledger_ = nullptr;
-    EventLog *eventLog_ = nullptr;
 
     /** Driver-side page-fault service time (UVM replay, §5.5). */
     static constexpr Cycle kOsFaultLatency = 2000;

@@ -79,16 +79,12 @@ class WalkBackend
     virtual void registerAudits(Auditor &auditor) { (void)auditor; }
 
     /**
-     * Install a TranslationTracer (nullptr detaches); backends stamp
-     * WalkDispatch / PtRead through it.  Default: ignore.
+     * No-ops, kept only because perfbench's forwarding TimedBackend, which
+     * changes only with the benchmark, still overrides them.  Backends
+     * report lifecycle stages through the engine's Probe, handed over at
+     * construction; nothing in the simulator calls these.
      */
     virtual void setTracer(TranslationTracer *tracer) { (void)tracer; }
-
-    /**
-     * Install a CycleLedger (nullptr detaches); backends report the
-     * moment a walk starts executing (transTrackStage to TransPwExec /
-     * TransPtwExec).  Default: ignore.
-     */
     virtual void setLedger(CycleLedger *ledger) { (void)ledger; }
 
     /**

@@ -13,6 +13,8 @@
  * config with the earlier In-TLB capacity, exactly as documented.
  */
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -75,12 +77,26 @@ cliError(const std::string &message)
 std::uint64_t
 parseUint(const std::string &value, const char *flag)
 {
+    // strtoull accepts "-1" (as 2^64 - 1) and saturates on overflow.
     char *end = nullptr;
+    errno = 0;
     unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
+    if (end == value.c_str() || *end != '\0' ||
+        value.find('-') != std::string::npos || errno == ERANGE)
         cliError(strprintf("%s expects a number, got '%s'", flag,
                            value.c_str()));
     return parsed;
+}
+
+/** A 32-bit count of at least @p min: anything else is a usage error. */
+std::uint32_t
+parseUint32(const std::string &value, const char *flag, std::uint32_t min)
+{
+    std::uint64_t parsed = parseUint(value, flag);
+    if (parsed < min || parsed > UINT32_MAX)
+        cliError(strprintf("%s expects a number in [%u, %u], got '%s'", flag,
+                           min, UINT32_MAX, value.c_str()));
+    return static_cast<std::uint32_t>(parsed);
 }
 
 double
@@ -168,13 +184,11 @@ optionTable(Options &opt)
          }},
         {"--ptws", "<n>", "hardware walker count (scales MSHRs/PWB)",
          [&](const std::vector<std::string> &a) {
-             scalePtwSubsystem(opt.cfg,
-                               std::uint32_t(parseUint(a[0], "--ptws")));
+             scalePtwSubsystem(opt.cfg, parseUint32(a[0], "--ptws", 1));
          }},
         {"--intlb", "<n>", "In-TLB MSHR capacity",
          [&](const std::vector<std::string> &a) {
-             opt.cfg.inTlbMshrMax =
-                 std::uint32_t(parseUint(a[0], "--intlb"));
+             opt.cfg.inTlbMshrMax = parseUint32(a[0], "--intlb", 0);
          }},
         {"--page", "<64k|2m>", "page size",
          [&](const std::vector<std::string> &a) {
@@ -239,8 +253,7 @@ optionTable(Options &opt)
         {"--subtlb", "<k>",
          "sub-entry L2 TLB: k pages per tag (1 = conventional)",
          [&](const std::vector<std::string> &a) {
-             opt.cfg.l2SubEntries =
-                 std::uint32_t(parseUint(a[0], "--subtlb"));
+             opt.cfg.l2SubEntries = parseUint32(a[0], "--subtlb", 1);
          }},
         {"--subtlb-share", "",
          "let co-resident tenants share sub-entry TLB tags",
@@ -302,7 +315,7 @@ optionTable(Options &opt)
          "phase clusters / representative windows (default 4)",
          [&](const std::vector<std::string> &a) {
              opt.sampling.numClusters =
-                 std::uint32_t(parseUint(a[0], "--phase-clusters"));
+                 parseUint32(a[0], "--phase-clusters", 1);
          }},
         {"--phase-warmup", "<n>",
          "timed-but-unmeasured instructions before each window (default 1000)",

@@ -74,10 +74,7 @@ PwWarp::startBatch()
     stats_.instructionsIssued += timing.setupInstrs;
     Cycle setup_done =
         hooks.reserveIssue(timing.setupInstrs, lanes.front().key.asid);
-    auto fire = [this]() { levelIteration(); };
-    static_assert(EventFn::fitsInline<decltype(fire)>(),
-                  "batch setup event must not spill to the slab pool");
-    eventq.schedule(setup_done, std::move(fire));
+    eventq.schedule(setup_done, [this]() { levelIteration(); });
 }
 
 void
@@ -109,7 +106,7 @@ PwWarp::levelIteration()
         const PageTableBase &pt =
             spaces.tableFor(lanes[lane_idx].key.asid);
         PhysAddr addr = pt.pteAddr(lanes[lane_idx].cursor);
-        auto fire = [this, lane_idx, addr]() {
+        eventq.schedule(issue_done, [this, lane_idx, addr]() {
             probe.emit(Stage::PtRead, eventq.now(), lanes[lane_idx].key,
                        lanes[lane_idx].id, smId);
             hooks.ptAccess(addr, [this, lane_idx]() {
@@ -127,10 +124,7 @@ PwWarp::levelIteration()
                 if (--pendingLoads == 0)
                     levelIteration();
             });
-        };
-        static_assert(EventFn::fitsInline<decltype(fire)>(),
-                      "LDPT issue event must not spill to the slab pool");
-        eventq.schedule(issue_done, std::move(fire));
+        });
     }
 }
 
@@ -185,14 +179,11 @@ PwWarp::finishBatch()
         // The SoftPWB slot frees now; the fill is in transit until the
         // FL2T/FFB lands at the L2 TLB and the distributor credit drops.
         ++fillsInTransit_;
-        auto fire = [this, result]() {
+        eventq.schedule(arrive, [this, result]() {
             SW_ASSERT(fillsInTransit_ > 0, "FL2T transit underflow");
             --fillsInTransit_;
             hooks.complete(result);
-        };
-        static_assert(EventFn::fitsInline<decltype(fire)>(),
-                      "FL2T fill event must not spill to the slab pool");
-        eventq.schedule(arrive, std::move(fire));
+        });
         pwb.release(lane.slot);
         ++stats_.walksCompleted;
     }

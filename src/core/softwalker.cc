@@ -134,17 +134,23 @@ SoftWalkerBackend::sendToSm(SmId target, WalkRequest req)
                target);
     // L2 TLB -> SM interconnect hop (modeled as the L2 TLB latency, §6.1).
     ++commInTransit;
-    // WalkRequest outgrew the inline event budget when it gained the
-    // {asid, vpn} key; box it so the hop event stays inline.
-    auto boxed = std::make_unique<WalkRequest>(std::move(req));
-    auto fire = [this, target, boxed = std::move(boxed)]() {
+    std::uint32_t slot;
+    if (!freeHops.empty()) {
+        slot = freeHops.back();
+        freeHops.pop_back();
+    } else {
+        slot = static_cast<std::uint32_t>(hops.size());
+        hops.emplace_back();
+    }
+    hops[slot] = {target, std::move(req)};
+    gpu.eventQueue().scheduleIn(cfg.effectiveCommLatency(), [this, slot]() {
         SW_ASSERT(commInTransit > 0, "interconnect transit underflow");
         --commInTransit;
-        controllers[target]->accept(std::move(*boxed));
-    };
-    static_assert(EventFn::fitsInline<decltype(fire)>(),
-                  "interconnect hop event must not spill to the slab pool");
-    gpu.eventQueue().scheduleIn(cfg.effectiveCommLatency(), std::move(fire));
+        // Free the slot before delivery: accepting may start another hop.
+        Hop hop = std::move(hops[slot]);
+        freeHops.push_back(slot);
+        controllers[hop.target]->accept(std::move(hop.req));
+    });
 }
 
 std::size_t

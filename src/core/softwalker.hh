@@ -126,6 +126,19 @@ class SoftWalkerBackend : public WalkBackend
     std::uint64_t inFlightCount = 0;
     /** Dispatched requests still crossing the L2 TLB -> SM interconnect. */
     std::uint64_t commInTransit = 0;
+    /**
+     * A request on the interconnect and the SM it is bound for.  The hop
+     * event captures only the slot; slots recycle through freeHops, so
+     * the pool grows to the peak number of hops in flight and then never
+     * allocates again.
+     */
+    struct Hop
+    {
+        SmId target = 0;
+        WalkRequest req;
+    };
+    std::vector<Hop> hops;
+    std::vector<std::uint32_t> freeHops;
     /** The engine's lifecycle probe (WalkHosted; shared by the warps). */
     const Probe &probe;
 

@@ -62,12 +62,9 @@ void
 Cache::access(PhysAddr addr, bool write, MemDoneFn on_done)
 {
     ++stats_.accesses;
-    auto fire = [this, addr, write, on_done]() {
+    eventq.scheduleIn(params_.latency, [this, addr, write, on_done]() {
         lookup(addr, write, on_done);
-    };
-    static_assert(EventFn::fitsInline<decltype(fire)>(),
-                  "cache access event must not spill to the slab pool");
-    eventq.scheduleIn(params_.latency, std::move(fire));
+    });
 }
 
 bool

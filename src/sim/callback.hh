@@ -20,7 +20,7 @@
  * InlineFunction (sim/inline_function.hh) is the event queue's handler
  * type and stays separate: event handlers fire once, may own move-only or
  * non-trivial state (a std::function a caller hands in, a whole
- * WalkRequest), and get an 80-byte buffer with a slab-pool fallback.  A
+ * WalkRequest), and get an 80-byte buffer, again with no spill path.  A
  * Callback converts into an InlineFunction (it is a 24-byte trivially
  * copyable callable) and into a std::function, so completions schedule
  * directly and code holding std::function-taking lambdas keeps working.

@@ -11,9 +11,8 @@
  *
  *  - a slot-recycling *event slab* holding the handlers themselves —
  *    InlineFunctions whose captures live inside the slab entry (up to
- *    kEventInlineBytes; larger captures recycle through a thread-local
- *    overflow slab).  Slots freed by executed events are reused before the
- *    slab ever grows, so steady state never touches the allocator.  Each
+ *    kEventInlineBytes; a larger capture does not compile).  Slots freed
+ *    by executed events are reused before the slab ever grows, so steady state never touches the allocator.  Each
  *    slot carries a 16-byte link: its cycle and the next slot in its
  *    bucket.
  *
@@ -68,10 +67,10 @@
 namespace sw {
 
 /**
- * Inline capture budget for event handlers.  Sized for the largest hot
- * capture in the simulator — the SoftWalker interconnect hop, which moves
- * a whole WalkRequest (64 bytes) plus a target SM id — with the hot files
- * static_asserting that their closures fit (see e.g. core/softwalker.cc).
+ * Inline capture budget for event handlers: a fixed constant, not a knob.
+ * It is the size of the largest capture in the simulator, the PWB
+ * enqueue's [this, WalkRequest] in vm/ptw.cc (80 bytes).  EventFn's
+ * constructor static_asserts that every capture fits.
  */
 inline constexpr std::size_t kEventInlineBytes = 80;
 

@@ -1,4 +1,8 @@
-/** @file Unit tests for InlineFunction and its slab pool. */
+/**
+ * @file
+ * Unit tests for InlineFunction.  A capture that does not fit its buffer
+ * is a compile error; tests/compile_fail/ checks those static_asserts.
+ */
 
 #include <gtest/gtest.h>
 
@@ -7,7 +11,9 @@
 #include <memory>
 #include <utility>
 
+#include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
+#include "vm/walk.hh"
 
 using namespace sw;
 
@@ -47,7 +53,6 @@ TEST(InlineFunction, DefaultConstructedIsEmpty)
 {
     Fn48 fn;
     EXPECT_FALSE(fn);
-    EXPECT_FALSE(fn.onHeap());
     Fn48 null_fn(nullptr);
     EXPECT_FALSE(null_fn);
 }
@@ -56,9 +61,7 @@ TEST(InlineFunction, SmallCaptureStaysInline)
 {
     int x = 41;
     Fn48 fn = [x]() { return x + 1; };
-    static_assert(Fn48::fitsInline<decltype([x]() { return x; })>());
     ASSERT_TRUE(fn);
-    EXPECT_FALSE(fn.onHeap());
     EXPECT_EQ(fn(), 42);
 }
 
@@ -68,38 +71,22 @@ TEST(InlineFunction, CaptureAtExactCapacityStaysInline)
     blob[0] = 7;
     auto lam = [blob]() { return int(blob[0]); };
     static_assert(sizeof(lam) == 48);
-    static_assert(Fn48::fitsInline<decltype(lam)>());
     Fn48 fn = lam;
-    EXPECT_FALSE(fn.onHeap());
     EXPECT_EQ(fn(), 7);
-}
-
-TEST(InlineFunction, OversizedCaptureSpillsToSlab)
-{
-    std::array<std::uint8_t, 64> blob{};
-    blob[5] = 9;
-    auto lam = [blob]() { return int(blob[5]); };
-    static_assert(!Fn48::fitsInline<decltype(lam)>());
-    Fn48 fn = lam;
-    ASSERT_TRUE(fn);
-    EXPECT_TRUE(fn.onHeap());
-    EXPECT_EQ(fn(), 9);
 }
 
 TEST(InlineFunction, EventFnCapacityMatchesHotPathCaptures)
 {
     // The event queue's inline budget must keep covering the largest
-    // hot-path capture shape: this + a 64-byte WalkRequest-sized payload.
-    struct FakeReq
-    {
-        std::uint8_t bytes[64];
-    };
+    // hot-path capture: the PWB enqueue's [this, WalkRequest].  If the
+    // budget shrinks below it, this stops compiling.
     void *self = nullptr;
-    FakeReq req{};
-    auto hop = [self, req]() { (void)self; };
-    static_assert(
-        InlineFunction<void(), 80>::fitsInline<decltype(hop)>(),
-        "80-byte inline budget no longer fits this+WalkRequest captures");
+    WalkRequest req;
+    req.id = 3;
+    auto enqueue = [self, req]() { return self ? 0u : unsigned(req.id); };
+    static_assert(sizeof(enqueue) == kEventInlineBytes);
+    InlineFunction<unsigned(), kEventInlineBytes> fn = enqueue;
+    EXPECT_EQ(fn(), 3u);
 }
 
 TEST(InlineFunction, MoveOnlyCallable)
@@ -128,35 +115,16 @@ TEST(InlineFunction, MoveTransfersInlineCapture)
     EXPECT_EQ(Tracked::live, 0);
 }
 
-TEST(InlineFunction, MoveOfHeapCaptureOnlyMovesThePointer)
-{
-    Tracked::resetCounters();
-    {
-        std::array<std::uint8_t, 100> pad{};
-        Tracked t;
-        Fn48 a = [t, pad]() { return int(pad[0]); };
-        ASSERT_TRUE(a.onHeap());
-        int live_before_move = Tracked::live;
-        Fn48 b = std::move(a);
-        // A slab-resident capture changes hands by pointer: no Tracked
-        // instance is constructed or destroyed by the move itself.
-        EXPECT_EQ(Tracked::live, live_before_move);
-        EXPECT_TRUE(b.onHeap());
-        b();
-    }
-    EXPECT_EQ(Tracked::live, 0);
-}
-
-TEST(InlineFunction, DestructionBalancesForBothStorageKinds)
+TEST(InlineFunction, DestructionBalancesEveryCapture)
 {
     Tracked::resetCounters();
     {
         Tracked t;
-        Fn48 inline_fn = [t]() { return 0; };
-        std::array<std::uint8_t, 100> pad{};
-        Fn48 heap_fn = [t, pad]() { return int(pad[0]); };
-        EXPECT_FALSE(inline_fn.onHeap());
-        EXPECT_TRUE(heap_fn.onHeap());
+        Fn48 small = [t]() { return 0; };
+        std::array<std::uint8_t, 40> pad{};
+        Fn48 full = [t, pad]() { return int(pad[0]); };
+        Fn48 moved = std::move(full);
+        EXPECT_EQ(moved(), 0);
     }
     EXPECT_EQ(Tracked::live, 0) << "a capture leaked";
 }
@@ -205,43 +173,4 @@ TEST(InlineFunctionDeath, InvokingEmptyPanics)
 {
     Fn48 fn;
     EXPECT_DEATH(fn(), "empty InlineFunction invoked");
-}
-
-TEST(SlabPool, RecyclesBlocksThroughTheFreelist)
-{
-    std::size_t base = detail::SlabPool::freeBlocks();
-    void *block = detail::SlabPool::allocate(100);
-    ASSERT_NE(block, nullptr);
-    detail::SlabPool::deallocate(block, 100);
-    EXPECT_EQ(detail::SlabPool::freeBlocks(), base + 1);
-
-    // Same size class: the freelist block is handed straight back.
-    void *again = detail::SlabPool::allocate(120);
-    EXPECT_EQ(again, block);
-    EXPECT_EQ(detail::SlabPool::freeBlocks(), base);
-    detail::SlabPool::deallocate(again, 120);
-}
-
-TEST(SlabPool, OversizedRequestsBypassTheFreelists)
-{
-    std::size_t base = detail::SlabPool::freeBlocks();
-    void *big = detail::SlabPool::allocate(4096);
-    ASSERT_NE(big, nullptr);
-    detail::SlabPool::deallocate(big, 4096);
-    EXPECT_EQ(detail::SlabPool::freeBlocks(), base);
-}
-
-TEST(SlabPool, DistinctSizeClassesDoNotMix)
-{
-    std::size_t base = detail::SlabPool::freeBlocks();
-    void *small = detail::SlabPool::allocate(64);
-    void *large = detail::SlabPool::allocate(512);
-    detail::SlabPool::deallocate(small, 64);
-    detail::SlabPool::deallocate(large, 512);
-    EXPECT_EQ(detail::SlabPool::freeBlocks(), base + 2);
-
-    // A 512-class request must not be satisfied by the 64-byte block.
-    void *again = detail::SlabPool::allocate(400);
-    EXPECT_EQ(again, large);
-    detail::SlabPool::deallocate(again, 400);
 }

@@ -9,7 +9,6 @@
 namespace sw {
 
 struct FixtureAuditCtx;
-struct FixtureTracer;
 
 struct FixtureComponent
 {
@@ -27,9 +26,8 @@ struct FixtureComponent
     }
 
     void
-    goodReads(FixtureTracer *tracer, std::uint64_t vpn)
+    goodReads(std::uint64_t vpn)
     {
-        SW_TRACE(tracer, vpn, slots.size());
         SW_AUDIT(ctx_, !slots.empty() && slots.front() < vpn);
     }
 

@@ -1,8 +1,7 @@
 // SWTIDY-AS: src/check/fixture_audit_fire.cc
 //
-// Firing cases for softwalker-audit-side-effect: SW_AUDIT/SW_TRACE
-// arguments with side effects execute in audit/tracing builds only, so
-// release runs diverge.
+// Firing cases for softwalker-audit-side-effect: SW_AUDIT arguments with
+// side effects execute in audit builds only, so release runs diverge.
 
 #include <cstdint>
 #include <vector>
@@ -10,7 +9,6 @@
 namespace sw {
 
 struct FixtureAuditCtx;
-struct FixtureTracer;
 
 struct FixtureComponent
 {
@@ -31,9 +29,9 @@ struct FixtureComponent
     }
 
     void
-    badMutatorCall(FixtureTracer *tracer, std::uint64_t vpn)
+    badMutatorCall(FixtureAuditCtx &ctx, std::uint64_t vpn)
     {
-        SW_TRACE(tracer, slots.push_back(vpn)); // FIRE: softwalker-audit-side-effect
+        SW_AUDIT(ctx, slots.insert(slots.end(), vpn) != slots.end()); // FIRE: softwalker-audit-side-effect
     }
 };
 

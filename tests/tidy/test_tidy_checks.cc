@@ -149,19 +149,6 @@ TEST(TidyFixtures, WallclockMacroBodyInSimStillFires)
     expectFixture("wallclock_macro_body.cc");
 }
 
-TEST(TidyFixtures, InlineCaptureSpillFires)
-{
-    auto expected = parseExpected(fixtureDir() / "capture_fire.cc");
-    EXPECT_EQ(expected.size(), 2u)
-        << "fixture should mark the literal and the named lambda";
-    expectFixture("capture_fire.cc");
-}
-
-TEST(TidyFixtures, InlineCaptureSpillClean)
-{
-    expectFixture("capture_clean.cc");
-}
-
 TEST(TidyFixtures, StatRegistrationFires)
 {
     expectFixture("stats_fire.cc");
@@ -194,7 +181,7 @@ TEST(TidyFixtures, AuditSideEffectFires)
 {
     auto expected = parseExpected(fixtureDir() / "audit_fire.cc");
     EXPECT_EQ(expected.size(), 3u)
-        << "fixture should mark ++, compound assignment and push_back";
+        << "fixture should mark ++, compound assignment and insert";
     expectFixture("audit_fire.cc");
 }
 

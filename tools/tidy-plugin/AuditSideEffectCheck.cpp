@@ -36,7 +36,7 @@ public:
     if (!Ident || !Args)
       return;
     const StringRef Macro = Ident->getName();
-    if (Macro != "SW_AUDIT" && Macro != "SW_TRACE")
+    if (Macro != "SW_AUDIT")
       return;
     // Only diagnose expansions spelled in real files (not nested macros).
     const SourceLocation Loc = MacroNameTok.getLocation();

@@ -3,14 +3,13 @@
 // softwalker-audit-side-effect
 //
 // SW_AUDIT(...) compiles to `(void)sizeof(...)` unless SOFTWALKER_AUDIT is
-// defined, and SW_TRACE(...) drops its arguments unless tracing is
-// compiled in.  An argument expression with a side effect (assignment,
+// defined.  An argument expression with a side effect (assignment,
 // increment, a mutating container call) therefore executes in some build
 // variants and not others — the classic "assert with a side effect" bug,
-// but harder to spot because the macros look like plain logging.  This
-// check lexes the spelled argument tokens of every SW_AUDIT/SW_TRACE
-// expansion and flags ++/--, assignment and compound assignment, and
-// calls to well-known mutating members (push_back, insert, erase, ...).
+// but harder to spot because the macro looks like plain logging.  This
+// check lexes the spelled argument tokens of every SW_AUDIT expansion
+// and flags ++/--, assignment and compound assignment, and calls to
+// well-known mutating members (push_back, insert, erase, ...).
 //
 //===----------------------------------------------------------------------===//
 

@@ -9,7 +9,6 @@
 #include "clang-tidy/ClangTidyModuleRegistry.h"
 
 #include "AuditSideEffectCheck.h"
-#include "InlineCaptureSpillCheck.h"
 #include "NondeterministicIterationCheck.h"
 #include "StatRegistrationCheck.h"
 #include "WallclockInSimCheck.h"
@@ -24,8 +23,6 @@ public:
     Factories.registerCheck<NondeterministicIterationCheck>(
         "softwalker-nondeterministic-iteration");
     Factories.registerCheck<WallclockInSimCheck>("softwalker-wallclock-in-sim");
-    Factories.registerCheck<InlineCaptureSpillCheck>(
-        "softwalker-inline-capture-spill");
     Factories.registerCheck<StatRegistrationCheck>(
         "softwalker-stat-registration");
     Factories.registerCheck<AuditSideEffectCheck>(

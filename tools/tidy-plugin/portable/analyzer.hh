@@ -4,15 +4,15 @@
  * (see docs/STATIC_ANALYSIS.md for the catalog and rationale).
  *
  * The authoritative implementation is the out-of-tree clang-tidy plugin
- * in tools/tidy-plugin/ — it sees the real AST and computes exact closure
- * sizes.  This engine is the *portable* twin: a lexer-level analyzer with
- * no LLVM dependency, so the fixture suite and the src/-tree cleanliness
- * gate run under plain ctest on any toolchain.  Both implementations
- * enforce the same contracts with the same check names and the same
- * `// NOLINT(softwalker-...)` suppression mechanism; where the lexical
- * engine cannot prove a property (default captures, macro-generated
- * code) it stays silent rather than guessing, so it under-approximates
- * the plugin and never blocks the build on a false positive.
+ * in tools/tidy-plugin/ — it sees the real AST.  This engine is the
+ * *portable* twin: a lexer-level analyzer with no LLVM dependency, so the
+ * fixture suite and the src/-tree cleanliness gate run under plain ctest
+ * on any toolchain.  Both implementations enforce the same contracts with
+ * the same check names and the same `// NOLINT(softwalker-...)`
+ * suppression mechanism; where the lexical engine cannot prove a property
+ * (macro-generated code, say) it stays silent rather than guessing, so it
+ * under-approximates the plugin and never blocks the build on a false
+ * positive.
  *
  * Checks:
  *  - softwalker-nondeterministic-iteration: range-for / .begin() loops
@@ -20,17 +20,14 @@
  *    breaks the jobs=1-vs-8 and record/replay fingerprint contracts).
  *  - softwalker-wallclock-in-sim: *_clock::now(), rand(), srand(),
  *    std::random_device inside src/{sim,gpu,vm,mem,core,check}.
- *  - softwalker-inline-capture-spill: lambdas handed to EventQueue
- *    schedule()/scheduleIn() whose estimated capture size exceeds the
- *    InlineFunction inline buffer (kEventInlineBytes).
  *  - softwalker-stat-registration: counter fields of *Stats structs never
  *    referenced by the component's registerStats()/registerGauges(), and
  *    enumerators of *Category attribution enums (LedgerCategory) that
  *    categoryName() never names — either way the value silently vanishes
  *    from every metrics dump and exporter.
- *  - softwalker-audit-side-effect: SW_AUDIT/SW_TRACE arguments with side
- *    effects (assignment, ++/--, mutating member calls) — they vanish in
- *    builds that compile the macro out.
+ *  - softwalker-audit-side-effect: SW_AUDIT arguments with side effects
+ *    (assignment, ++/--, mutating member calls) — they vanish in builds
+ *    that compile the macro out.
  *  - softwalker-raw-vpn-key: a bare Vpn-typed variable passed as the key
  *    of a translation-structure call (lookup/probe/fill/...) outside
  *    src/vm; since the TranslationKey migration the key is {asid, vpn},
@@ -48,8 +45,6 @@
 #ifndef SW_TOOLS_TIDY_PORTABLE_ANALYZER_HH
 #define SW_TOOLS_TIDY_PORTABLE_ANALYZER_HH
 
-#include <cstddef>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -60,8 +55,6 @@ namespace swtidy {
 inline constexpr const char *kNondeterministicIteration =
     "softwalker-nondeterministic-iteration";
 inline constexpr const char *kWallclockInSim = "softwalker-wallclock-in-sim";
-inline constexpr const char *kInlineCaptureSpill =
-    "softwalker-inline-capture-spill";
 inline constexpr const char *kStatRegistration =
     "softwalker-stat-registration";
 inline constexpr const char *kAuditSideEffect =
@@ -118,12 +111,6 @@ struct Options
      * never add entropy), which is why src/prof sits in simDirs too.
      */
     std::vector<std::string> wallclockAllow = {"src/prof"};
-
-    /** InlineFunction inline capture budget (kEventInlineBytes). */
-    std::size_t inlineBytes = 80;
-
-    /** Extra `type name -> size in bytes` entries for capture estimation. */
-    std::map<std::string, std::size_t> typeSizes;
 };
 
 /**

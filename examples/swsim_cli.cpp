@@ -192,13 +192,21 @@ optionTable(Options &opt)
          }},
         {"--page", "<64k|2m>", "page size",
          [&](const std::vector<std::string> &a) {
-             opt.cfg.pageBytes = (a[0] == "2m") ? 2ull * 1024 * 1024
-                                                : 64ull * 1024;
+             if (a[0] == "64k")
+                 opt.cfg.pageBytes = 64ull * 1024;
+             else if (a[0] == "2m")
+                 opt.cfg.pageBytes = 2ull * 1024 * 1024;
+             else
+                 cliError("--page expects 64k|2m, got '" + a[0] + "'");
          }},
         {"--pt", "<radix|hashed>", "page-table organisation",
          [&](const std::vector<std::string> &a) {
-             opt.cfg.pageTableKind = (a[0] == "hashed")
-                 ? PageTableKind::Hashed : PageTableKind::Radix4;
+             if (a[0] == "radix")
+                 opt.cfg.pageTableKind = PageTableKind::Radix4;
+             else if (a[0] == "hashed")
+                 opt.cfg.pageTableKind = PageTableKind::Hashed;
+             else
+                 cliError("--pt expects radix|hashed, got '" + a[0] + "'");
          }},
         {"--nha", "", "enable NHA page-walk coalescing",
          [&](const std::vector<std::string> &) {

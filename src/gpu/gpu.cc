@@ -255,7 +255,8 @@ Gpu::saveState(CkptWriter &w) const
     w.section("gpu");
     w.u64(eventq.now());
     w.u64(eventq.seqCounter());
-    w.u64(eventq.eventsExecuted());
+    // Handlers run, fused or not: the checkpoint does not depend on fusion.
+    w.u64(eventq.eventsExecuted() + eventq.fusedEvents());
     w.u64(measureStart);
     for (const auto &sm : sms)
         sm->saveState(w);
@@ -354,8 +355,9 @@ Gpu::registerStats(StatRegistry &registry)
     gpu_group.gauge("cycles", [this]() { return double(eventq.now()); });
     gpu_group.gauge("measured_cycles",
                     [this]() { return double(measuredCycles()); });
-    gpu_group.gauge("events_executed",
-                    [this]() { return double(eventq.eventsExecuted()); });
+    gpu_group.gauge("events_executed", [this]() {
+        return double(eventq.eventsExecuted() + eventq.fusedEvents());
+    });
     gpu_group.gauge("performance", [this]() { return performance(); });
 
     for (SmId id = 0; id < SmId(sms.size()); ++id)

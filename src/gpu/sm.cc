@@ -15,7 +15,8 @@ Sm::Sm(EventQueue &eq, Params params, Workload &wl,
     : eventq(eq), params_(params), workload(wl),
       translate(translate_fn), dataAccess(data_fn),
       geometry(params.pageBytes),
-      rng(params.rngSeed * 0x100000001b3ULL + params.id)
+      rng(params.rngSeed * 0x100000001b3ULL + params.id),
+      issueRetries(eq, [this](const WarpId &warp) { tryIssue(warp); })
 {
     SW_ASSERT(params_.numWarps > 0, "SM needs warps");
     SW_ASSERT(params_.warpSize > 0 &&
@@ -85,7 +86,7 @@ Sm::tryIssue(WarpId warp)
     Cycle now = eventq.now();
     if (nextIssueFree > now) {
         // Issue port busy (another warp or the PW Warp): retry when free.
-        eventq.schedule(nextIssueFree, [this, warp]() { tryIssue(warp); });
+        issueRetries.add(nextIssueFree, warp);
         return;
     }
     nextIssueFree = now + 1;
@@ -242,7 +243,8 @@ Sm::saveState(CkptWriter &w) const
 {
     // At a drained barrier every warp has retired (start() re-activates
     // them when the next segment begins), so warp state needs no bytes.
-    SW_ASSERT(liveWarps == 0 && blockedWarps == 0 && !fullyStalled,
+    SW_ASSERT(liveWarps == 0 && blockedWarps == 0 && !fullyStalled &&
+                  issueRetries.empty(),
               "SM %u checkpointed with live warps", params_.id);
     w.section("sm");
     w.u32(params_.id);

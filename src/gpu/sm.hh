@@ -27,6 +27,7 @@
 #include "sim/callback.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
+#include "sim/same_cycle_batch.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "vm/address.hh"
@@ -211,6 +212,11 @@ class Sm
     std::uint32_t blockedWarps = 0;
 
     Cycle nextIssueFree = 0;
+    /**
+     * Warps retrying a busy issue port, woken at nextIssueFree (which
+     * never decreases, as SameCycleBatch requires).
+     */
+    SameCycleBatch<WarpId> issueRetries;
     bool fullyStalled = false;
     Cycle stallStart = 0;
 

@@ -13,7 +13,8 @@ namespace sw {
 
 Cache::Cache(EventQueue &eq, Params params, CacheForwardFn fwd)
     : eventq(eq), params_(std::move(params)), forward(std::move(fwd)),
-      mshrs(params_.mshrEntries)
+      mshrs(params_.mshrEntries),
+      lookups(eq, [this](const Request &req) { lookup(req); })
 {
     SW_ASSERT(params_.ways > 0, "cache '%s' needs at least one way",
               params_.name.c_str());
@@ -31,9 +32,15 @@ Cache::Cache(EventQueue &eq, Params params, CacheForwardFn fwd)
     sectorShift = static_cast<unsigned>(std::countr_zero(params_.sectorBytes));
     sectorsPerLine = params_.lineBytes / params_.sectorBytes;
     SW_ASSERT(sectorsPerLine <= 32, "sector mask limited to 32 sectors");
-    tagKeys.resize(num_lines);
-    sectorMasks.resize(num_lines);
-    lruTicks.resize(num_lines);
+    numLines = static_cast<std::size_t>(num_lines);
+}
+
+void
+Cache::claimTagStore()
+{
+    tagKeys.resize(numLines);
+    sectorMasks.resize(numLines);
+    lruTicks.resize(numLines);
 }
 
 Cache::Place
@@ -62,14 +69,16 @@ void
 Cache::access(PhysAddr addr, bool write, MemDoneFn on_done)
 {
     ++stats_.accesses;
-    eventq.scheduleIn(params_.latency, [this, addr, write, on_done]() {
-        lookup(addr, write, on_done);
-    });
+    if (tagKeys.empty())
+        claimTagStore();
+    lookups.add(eventq.now() + params_.latency, {addr, write, on_done});
 }
 
 bool
 Cache::isResident(PhysAddr addr) const
 {
+    if (tagKeys.empty())
+        return false;
     Place place = locate(addr);
     std::size_t way = findWay(place);
     return way != kNoWay && (sectorMasks[way] & place.sectorBit);
@@ -84,10 +93,10 @@ Cache::flush()
 }
 
 void
-Cache::lookup(PhysAddr addr, bool write, MemDoneFn on_done,
-              bool retry)
+Cache::lookup(const Request &req, bool retry)
 {
     SW_PROF_SCOPE(prof::Zone::CacheDram);
+    PhysAddr addr = req.addr;
     Place place = locate(addr);
     std::size_t way = findWay(place);
     if (way != kNoWay) {
@@ -95,7 +104,7 @@ Cache::lookup(PhysAddr addr, bool write, MemDoneFn on_done,
             if (!retry)
                 ++stats_.hits;
             lruTicks[way] = ++lruCounter;
-            on_done();
+            req.onDone();
             return;
         }
         if (!retry)
@@ -112,26 +121,26 @@ Cache::lookup(PhysAddr addr, bool write, MemDoneFn on_done,
         if (waiters->size() <
             static_cast<std::size_t>(params_.maxMergesPerMshr)) {
             ++stats_.mshrMerges;
-            waiters->push_back(on_done);
+            waiters->push_back(req.onDone);
             return;
         }
         // Merge capacity exhausted: treat like a full MSHR file.
         ++stats_.mshrFailures;
-        waitingForMshr.push_back({addr, write, on_done});
+        waitingForMshr.push_back(req);
         return;
     }
 
     if (mshrs.size() >= params_.mshrEntries) {
         ++stats_.mshrFailures;
-        waitingForMshr.push_back({addr, write, on_done});
+        waitingForMshr.push_back(req);
         return;
     }
 
-    mshrs.insert(sa).push_back(on_done);
+    mshrs.insert(sa).push_back(req.onDone);
     SW_AUDIT(mshrs.size() <= params_.mshrEntries,
              "%s: MSHR file overallocated (%zu > %u)",
              params_.name.c_str(), mshrs.size(), params_.mshrEntries);
-    forward(addr, write, [this, addr]() { handleFill(addr); });
+    forward(addr, req.write, [this, addr]() { handleFill(addr); });
 }
 
 void
@@ -197,10 +206,9 @@ Cache::retryWaiting()
     // merge-full); stop as soon as the queue makes no progress.
     while (!waitingForMshr.empty() && mshrs.size() < params_.mshrEntries) {
         std::size_t before = waitingForMshr.size();
-        Waiting wait_entry = waitingForMshr.front();
+        Request req = waitingForMshr.front();
         waitingForMshr.pop_front();
-        lookup(wait_entry.addr, wait_entry.write, wait_entry.onDone,
-               /*retry=*/true);
+        lookup(req, /*retry=*/true);
         if (waitingForMshr.size() >= before)
             break;
     }
@@ -209,19 +217,18 @@ Cache::retryWaiting()
 void
 Cache::saveState(CkptWriter &w) const
 {
-    SW_ASSERT(mshrs.empty() && waitingForMshr.empty(),
+    SW_ASSERT(mshrs.empty() && waitingForMshr.empty() && lookups.empty(),
               "cache '%s' checkpointed with misses in flight",
               params_.name.c_str());
     w.section("cache");
     w.str(params_.name);
     // Tag stores are mostly invalid early in a run: write valid lines
     // sparsely, keyed by their index in the tag store.
-    std::uint32_t total = std::uint32_t(tagKeys.size());
     std::uint32_t valid = std::uint32_t(
-        total - std::count(tagKeys.begin(), tagKeys.end(), 0));
-    w.u32(total);
+        tagKeys.size() - std::count(tagKeys.begin(), tagKeys.end(), 0));
+    w.u32(std::uint32_t(numLines));
     w.u32(valid);
-    for (std::uint32_t i = 0; i < total; ++i) {
+    for (std::uint32_t i = 0; i < tagKeys.size(); ++i) {
         if (tagKeys[i] == 0)
             continue;
         w.u32(i);
@@ -249,15 +256,17 @@ Cache::restoreState(CkptReader &r)
               params_.name.c_str());
     }
     std::uint32_t total = r.u32();
-    if (total != tagKeys.size()) {
+    if (total != numLines) {
         fatal("checkpoint cache '%s' has %u lines, this config has %zu",
-              name.c_str(), total, tagKeys.size());
+              name.c_str(), total, numLines);
     }
     std::uint32_t valid = r.u32();
     if (valid > total) {
         fatal("checkpoint cache '%s' has %u valid of %u lines",
               name.c_str(), valid, total);
     }
+    if (tagKeys.empty())
+        claimTagStore();
     flush();
     for (std::uint32_t n = 0; n < valid; ++n) {
         std::uint32_t idx = r.u32();

@@ -11,12 +11,12 @@
 #define SW_MEM_CACHE_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "mem/request.hh"
 #include "sim/event_queue.hh"
+#include "sim/same_cycle_batch.hh"
 #include "sim/slot_map.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -84,7 +84,8 @@ class Cache
 
     /**
      * Access one sector.  @p on_done fires once the sector is resident
-     * (after the hit latency, or after the fill returns from below).
+     * (after the hit latency, or after the fill returns from below).  The
+     * lookups of one cycle's fan-out share one event (SameCycleBatch).
      */
     void access(PhysAddr addr, bool write, MemDoneFn on_done);
 
@@ -140,19 +141,29 @@ class Cache
         return addr >> sectorShift;
     }
 
+    /** One access: its sector, direction and completion. */
+    struct Request
+    {
+        PhysAddr addr = 0;
+        bool write = false;
+        MemDoneFn onDone;
+    };
+
     /**
      * After the lookup latency: resolve hit/miss.
      * @param retry re-issue of a parked request; skips demand hit/miss
      *        accounting so stats count each access once.
      */
-    void lookup(PhysAddr addr, bool write, MemDoneFn on_done,
-                bool retry = false);
+    void lookup(const Request &req, bool retry = false);
 
     /** Fill returned from the level below. */
     void handleFill(PhysAddr addr);
 
     /** Install the sector into the tag store, evicting if needed. */
     void install(PhysAddr addr);
+
+    /** Allocate the (all-invalid) tag store: on the first access. */
+    void claimTagStore();
 
     void retryWaiting();
 
@@ -164,7 +175,12 @@ class Cache
     unsigned lineShift;
     unsigned sectorShift;
     std::uint32_t sectorsPerLine;
-    /** Tag store, numSets * ways entries each, way-major within a set. */
+    std::size_t numLines;
+    /**
+     * Tag store, numLines entries each, way-major within a set.  Empty
+     * until the first access (claimTagStore()), so building a machine
+     * neither allocates nor touches it.
+     */
     std::vector<std::uint64_t> tagKeys;   ///< tag + 1; 0 = invalid
     std::vector<std::uint32_t> sectorMasks;  ///< bit per resident sector
     std::vector<std::uint64_t> lruTicks;
@@ -172,14 +188,10 @@ class Cache
 
     MshrFile mshrs;
 
+    /** Accesses whose lookup latency has not yet elapsed. */
+    SameCycleBatch<Request> lookups;
     /** Requests waiting for a free MSHR. */
-    struct Waiting
-    {
-        PhysAddr addr;
-        bool write;
-        MemDoneFn onDone;
-    };
-    std::deque<Waiting> waitingForMshr;
+    Ring<Request> waitingForMshr;
 
     Stats stats_;
 };

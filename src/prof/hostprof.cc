@@ -391,7 +391,9 @@ HostProfiler::writeJson(std::ostream &out,
 void
 HostProfiler::appendTraceEvents(std::ostream &out, bool &need_comma) const
 {
-    if (!kHostProfCompiled)
+    // Compiled in but never armed: the trace gets no host records at all,
+    // so it reads exactly as in a build without the profiler.
+    if (!kHostProfCompiled || !enabled())
         return;
     ProfileSnapshot snap = snapshot();
     char buf[256];

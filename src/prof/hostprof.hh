@@ -204,7 +204,8 @@ class HostProfiler
      * spans as "X" events on a dedicated host pid (ts in wall-clock
      * microseconds) and gauge samples as "C" counter tracks on the
      * simulated timeline (ts in cycles).  @p need_comma tracks the
-     * caller's separator state.
+     * caller's separator state.  Writes nothing unless the profiler is
+     * enabled.
      */
     void appendTraceEvents(std::ostream &out, bool &need_comma) const;
 

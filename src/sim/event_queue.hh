@@ -44,6 +44,13 @@
  * Execution order is therefore the strict total order on
  * (cycle, insertion-seq): neither the bucket layout, the overflow heap's
  * shape nor slab slot assignment can change which event runs next.
+ *
+ * One dispatch may run several handlers.  A component's same-cycle batch
+ * (sim/same_cycle_batch.hh) folds a run of handlers that would have been
+ * consecutive in that order into one event that runs them in turn; each
+ * folded handler is counted by fusedEvents() rather than
+ * eventsExecuted(), and takes the sequence number its event would have
+ * had, so seqCounter() reads as if it had been scheduled.
  */
 
 #ifndef SW_SIM_EVENT_QUEUE_HH
@@ -95,8 +102,30 @@ class EventQueue
     /** Current simulated cycle. */
     Cycle now() const { return curCycle; }
 
-    /** Total number of events executed so far. */
+    /** Dispatches so far; a fused batch counts once. */
     std::uint64_t eventsExecuted() const { return numExecuted; }
+
+    /**
+     * Handlers that joined a same-cycle batch instead of being scheduled
+     * (see fuse()).  eventsExecuted() + fusedEvents() is the number of
+     * handlers run, which does not depend on fusion.
+     */
+    std::uint64_t fusedEvents() const { return numFused; }
+
+    /** True while an event handler runs. */
+    bool dispatching() const { return inHandler; }
+
+    /**
+     * Account for a handler that joined an already scheduled same-cycle
+     * batch: it takes the sequence number schedule() would have given its
+     * event, and counts as fused.
+     */
+    void
+    fuse()
+    {
+        ++nextSeq;
+        ++numFused;
+    }
 
     /** Number of pending events. */
     std::size_t pending() const { return wheelCount + overflow.size(); }
@@ -141,7 +170,8 @@ class EventQueue
     }
 
     /**
-     * Execute the earliest pending event, advancing the clock to it.
+     * Execute the earliest pending event, advancing the clock to it.  One
+     * dispatch: a fused batch runs all its handlers.  No sweep hook runs.
      * @retval false if the queue was empty.
      */
     bool
@@ -154,8 +184,9 @@ class EventQueue
     }
 
     /**
-     * Sweep hooks are invoked from run() between two events whenever at
-     * least their interval has elapsed since their previous sweep.  Hooks
+     * Sweep hooks are invoked from run() between two events (and between
+     * two handlers of a fused batch, see runSweeps()) whenever at least
+     * their interval has elapsed since their previous sweep.  Hooks
      * piggyback on real events: they never schedule anything, never
      * advance the clock, and never keep a drained simulation alive, so the
      * simulated timeline is identical with and without them (the
@@ -195,6 +226,25 @@ class EventQueue
     /** Number of live periodic-check subscriptions. */
     std::size_t numPeriodicChecks() const { return sweeps.size(); }
 
+    /**
+     * Give due sweep hooks their turn, as run() does after each event.  A
+     * fused batch calls this between two of its handlers, so the hooks
+     * observe the states they would between two events.  Does nothing
+     * unless run() is driving the queue (runOne() runs no hooks).
+     */
+    void
+    runSweeps()
+    {
+        if (!inRun)
+            return;
+        for (Sweep &sweep : sweeps) {
+            if (curCycle - sweep.last >= sweep.interval) {
+                sweep.last = curCycle;
+                sweep.fn(curCycle);
+            }
+        }
+    }
+
     /** Insertion-sequence counter (checkpointing; pairs with now()). */
     std::uint64_t seqCounter() const { return nextSeq; }
 
@@ -205,6 +255,8 @@ class EventQueue
      * quiesced tick in the first place.  The sequence counter must be
      * restored too — it breaks same-cycle scheduling ties, so resuming
      * with a different value would reorder the resumed timeline.
+     * @p executed counts handlers run before the checkpoint, fused or
+     * not; the resumed queue counts them as executed.
      */
     void
     restoreClock(Cycle cycle, std::uint64_t seq, std::uint64_t executed)
@@ -216,11 +268,15 @@ class EventQueue
         curCycle = cycle;
         nextSeq = seq;
         numExecuted = executed;
+        numFused = 0;
     }
 
     /**
      * Run events until the queue is empty, @p predicate returns true, or
-     * @p cycle_limit is reached.
+     * @p cycle_limit is reached.  Each step is one dispatch, which may be
+     * a fused batch: the predicate is not consulted between the handlers
+     * of a batch (the cycle limit needs no check there, as a batch runs
+     * within one cycle).
      * @return the cycle at which execution stopped.
      */
     Cycle
@@ -228,6 +284,7 @@ class EventQueue
         const std::function<bool()> &predicate = {})
     {
         SW_PROF_SCOPE(::sw::prof::Zone::SimLoop);
+        Flag running(inRun);
         while (!empty()) {
             Cycle when = nextCycle();
             if (when > cycle_limit)
@@ -235,12 +292,7 @@ class EventQueue
             if (predicate && predicate())
                 break;
             dispatch(when);
-            for (Sweep &sweep : sweeps) {
-                if (curCycle - sweep.last >= sweep.interval) {
-                    sweep.last = curCycle;
-                    sweep.fn(curCycle);
-                }
-            }
+            runSweeps();
             // Host gauges every 2^16 events: the cadence is driven by the
             // (deterministic) event count, so the sampled sim cycles are
             // identical across runs even though the values are host-side.
@@ -275,6 +327,7 @@ class EventQueue
         curCycle = 0;
         nextSeq = 0;
         numExecuted = 0;
+        numFused = 0;
         // Sweep ids keep counting: a handle held across reset() can
         // never unsubscribe a hook added after it.
         sweeps.clear();
@@ -322,6 +375,16 @@ class EventQueue
                 return a.when > b.when;
             return a.seq > b.seq;
         }
+    };
+
+    /** Sets a flag for its lifetime (exception-safe). */
+    struct Flag
+    {
+        explicit Flag(bool &f) : flag(f) { flag = true; }
+        ~Flag() { flag = false; }
+        Flag(const Flag &) = delete;
+        Flag &operator=(const Flag &) = delete;
+        bool &flag;
     };
 
     /** One periodic sweep subscription (see addPeriodicCheck()). */
@@ -440,6 +503,7 @@ class EventQueue
             // Host-time attribution only; compiled out by default and a
             // single relaxed load when compiled in but disabled.
             SW_PROF_SCOPE(::sw::prof::Zone::EventDispatch);
+            Flag handling(inHandler);
             fn();
         }
     }
@@ -461,6 +525,9 @@ class EventQueue
     Cycle curCycle = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t numExecuted = 0;
+    std::uint64_t numFused = 0;
+    bool inHandler = false;
+    bool inRun = false;
     std::vector<Sweep> sweeps;
     std::uint64_t nextSweepId = 1;
 };

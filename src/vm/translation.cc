@@ -13,6 +13,9 @@ TranslationEngine::TranslationEngine(EventQueue &eq, const GpuConfig &config,
                                      MemorySystem &memory,
                                      AddressSpaceManager &spaces)
     : eventq(eq), cfg(config), mem(memory), spaces_(spaces),
+      l1Lookups(eq, [this](const L1Request &req) { l1Lookup(req); }),
+      l2Hops(eq,
+             [this](const L2Request &req) { l2Access(req.sm, req.key); }),
       l2Array("l2tlb", config.l2TlbEntries, config.l2TlbWays),
       outstanding(config.l2TlbMshrs + config.inTlbMshrMax),
       pwcCache(config.pwcEntries)
@@ -86,15 +89,13 @@ TranslationEngine::translate(SmId sm, TranslationKey key, TransDoneFn done)
     ++stats_.requests;
     ++tenantStats_[key.asid].requests;
     Cycle start = eventq.now();
-    eventq.scheduleIn(cfg.l1TlbLatency, [this, sm, key, done, start]() {
-        l1Lookup(sm, key, done, start);
-    });
+    l1Lookups.add(start + cfg.l1TlbLatency, {sm, key, done, start});
 }
 
 void
-TranslationEngine::l1Lookup(SmId sm, TranslationKey key, TransDoneFn done,
-                            Cycle start)
+TranslationEngine::l1Lookup(const L1Request &req)
 {
+    auto [sm, key, done, start] = req;
     Pfn pfn = 0;
     if (l1Arrays[sm].lookup(key, pfn)) {
         ++stats_.l1Hits;
@@ -118,14 +119,14 @@ TranslationEngine::l1Lookup(SmId sm, TranslationKey key, TransDoneFn done,
         }
         // Merge capacity exhausted: park until this SM resolves something.
         ++stats_.l1MshrFailures;
-        l1WaitQueues[sm].push_back({key, done, start});
+        l1WaitQueues[sm].push_back(req);
         return;
     }
 
     if (!idealMshrs && mshrs.size() >=
         static_cast<std::size_t>(cfg.l1TlbMshrs)) {
         ++stats_.l1MshrFailures;
-        l1WaitQueues[sm].push_back({key, done, start});
+        l1WaitQueues[sm].push_back(req);
         return;
     }
 
@@ -139,9 +140,9 @@ TranslationEngine::drainL1WaitQueue(SmId sm)
     auto &queue = l1WaitQueues[sm];
     while (!queue.empty()) {
         std::size_t before = queue.size();
-        L1WaitEntry entry = queue.front();
+        L1Request entry = queue.front();
         queue.pop_front();
-        l1Lookup(sm, entry.key, entry.done, entry.start);
+        l1Lookup(entry);
         if (queue.size() >= before) {
             // No progress: the retried request was parked again.
             break;
@@ -152,8 +153,7 @@ TranslationEngine::drainL1WaitQueue(SmId sm)
 void
 TranslationEngine::sendToL2(SmId sm, TranslationKey key)
 {
-    eventq.scheduleIn(cfg.l2TlbLatency,
-                      [this, sm, key]() { l2Access(sm, key); });
+    l2Hops.add(eventq.now() + cfg.l2TlbLatency, {sm, key});
 }
 
 void
@@ -404,9 +404,9 @@ TranslationEngine::saveState(CkptWriter &w) const
                   "SM %u has L1 translation state in flight at checkpoint",
                   sm);
     }
-    SW_ASSERT(outstanding.empty() && l2WaitQueue.empty() &&
-              regularMshrInUse == 0,
-              "L2 TLB has misses in flight at checkpoint");
+    SW_ASSERT(l1Lookups.empty() && l2Hops.empty() && outstanding.empty() &&
+              l2WaitQueue.empty() && regularMshrInUse == 0,
+              "TLB lookups or L2 misses in flight at checkpoint");
     w.section("translation");
     for (const auto &l1 : l1Arrays)
         l1.saveState(w);

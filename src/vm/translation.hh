@@ -20,7 +20,6 @@
 #define SW_VM_TRANSLATION_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -29,6 +28,7 @@
 #include "sim/callback.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/same_cycle_batch.hh"
 #include "sim/slot_map.hh"
 #include "sim/stats.hh"
 #include "vm/address_space.hh"
@@ -244,8 +244,23 @@ class TranslationEngine
         }
     };
 
-    void l1Lookup(SmId sm, TranslationKey key, TransDoneFn done,
-                  Cycle start);
+    /** One translation request at the L1 TLB. */
+    struct L1Request
+    {
+        SmId sm = 0;
+        TranslationKey key;
+        TransDoneFn done;
+        Cycle start = 0;   ///< cycle translate() was called
+    };
+
+    /** One L1 TLB miss on its way to the L2 TLB. */
+    struct L2Request
+    {
+        SmId sm = 0;
+        TranslationKey key;
+    };
+
+    void l1Lookup(const L1Request &req);
     void sendToL2(SmId sm, TranslationKey key);
     void l2Access(SmId sm, TranslationKey key);
     /**
@@ -285,13 +300,7 @@ class TranslationEngine
     std::vector<L1MshrFile> l1Mshrs;
 
     /** Requests rejected by a full L1 MSHR file, woken on any L1 resolve. */
-    struct L1WaitEntry
-    {
-        TranslationKey key;
-        TransDoneFn done;
-        Cycle start;
-    };
-    std::vector<std::deque<L1WaitEntry>> l1WaitQueues;
+    std::vector<Ring<L1Request>> l1WaitQueues;
 
     /** L2 arrivals rejected for lack of miss-tracking capacity. */
     struct L2WaitEntry
@@ -300,7 +309,12 @@ class TranslationEngine
         TranslationKey key;
         Cycle arrival;
     };
-    std::deque<L2WaitEntry> l2WaitQueue;
+    Ring<L2WaitEntry> l2WaitQueue;
+
+    /** L1 TLB lookups whose latency has not yet elapsed. */
+    SameCycleBatch<L1Request> l1Lookups;
+    /** L1 misses in transit to the L2 TLB. */
+    SameCycleBatch<L2Request> l2Hops;
 
     TlbArray l2Array;
     std::unique_ptr<SubEntryTlb> subL2;   ///< replaces l2Array when set

@@ -114,4 +114,25 @@ TEST(CliArgs, OutOfRangeCountsAreUsageErrors)
     }
 }
 
+TEST(CliArgs, UnknownChoicesAreUsageErrors)
+{
+    // A value outside a flag's fixed set of choices is rejected, never
+    // mapped to a default.
+    const std::pair<const char *, const char *> cases[] = {
+        {"--mode bogus", "--mode expects hw|sw|hybrid|ideal, got 'bogus'"},
+        {"--page 4k", "--page expects 64k|2m, got '4k'"},
+        {"--page 2M", "--page expects 64k|2m, got '2M'"},
+        {"--pt linear", "--pt expects radix|hashed, got 'linear'"},
+        {"--pt Radix", "--pt expects radix|hashed, got 'Radix'"},
+    };
+    for (const auto &[args, message] : cases) {
+        SCOPED_TRACE(args);
+        auto [status, out] = runCli(args);
+        EXPECT_EQ(status, 2) << out;
+        EXPECT_NE(out.find(std::string("swsim_cli: ") + message),
+                  std::string::npos)
+            << out;
+    }
+}
+
 } // namespace

@@ -431,6 +431,38 @@ TEST_F(CacheTest, SeededMixPinsStatsResidencyAndCheckpoint)
     EXPECT_EQ(again.bytes(), w.bytes());
 }
 
+/**
+ * The tag store is claimed on the first access: a cache never accessed
+ * still probes, flushes and checkpoints as an all-invalid one of its
+ * geometry, and works after a restore.
+ */
+TEST_F(CacheTest, UntouchedCacheCheckpointsAsEmpty)
+{
+    auto cache = makeCache(smallParams());
+    EXPECT_FALSE(cache->isResident(0x40));
+    cache->flush();
+    CkptWriter w;
+    cache->saveState(w);
+
+    auto touched = makeCache(smallParams());
+    accessAndWait(*touched, 0x40);
+    touched->flush();
+    CkptWriter flushed;
+    touched->saveState(flushed);
+    // Same layout as a touched cache with no valid line (stats differ).
+    EXPECT_EQ(w.size(), flushed.size());
+    CkptReader r(w.bytes().data(), w.size());
+    Cache copy(eq, smallParams(), [this](PhysAddr, bool, MemDoneFn on_fill) {
+        eq.scheduleIn(100, on_fill);
+    });
+    copy.restoreState(r);
+    CkptWriter again;
+    copy.saveState(again);
+    EXPECT_EQ(again.bytes(), w.bytes());
+    EXPECT_EQ(accessAndWait(copy, 0x40), 110u);
+    EXPECT_EQ(accessAndWait(copy, 0x40), 10u);
+}
+
 /** Property sweep: for any (ways, sectors) the cache stays consistent. */
 class CacheGeometry
     : public ::testing::TestWithParam<std::tuple<std::uint32_t,
